@@ -18,14 +18,15 @@
 //! * **Fixed keep-alive** — no pre-warming, constant keep-alive window.
 
 use infless_cluster::{ClusterSpec, InstanceConfig, InstanceId, ServerId};
-use infless_faults::FaultSchedule;
+use infless_faults::{FaultEvent, FaultSchedule};
 use infless_models::{profile::ConfigGrid, HardwareModel, ModelSpec, ProfileDatabase};
-use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
+use infless_sim::{EventQueue, SimDuration, SimTime};
 use infless_workload::Workload;
 use std::collections::VecDeque;
 
 use infless_core::batching::RpsWindow;
-use infless_core::engine::{Engine, EngineEvent, FunctionInfo};
+use infless_core::driver::{self, Policy};
+use infless_core::engine::{CompletedBatch, Engine, EngineEvent, FunctionInfo};
 use infless_core::metrics::{RunReport, StartupKind};
 use infless_core::predictor::CopPredictor;
 use infless_core::router::LeastLoadedScratch;
@@ -183,24 +184,6 @@ impl BatchPlatform {
         self
     }
 
-    /// Attaches a shared metrics registry, fed at every scaler tick.
-    /// The registry never feeds back into the simulation.
-    pub fn with_metrics(mut self, handle: infless_telemetry::MetricsHandle) -> Self {
-        self.engine.set_metrics(handle);
-        self
-    }
-
-    /// Applies the autoregressive serving knobs: decode-batching
-    /// discipline plus device-memory booking for KV arenas. A disabled
-    /// config is a no-op (runs stay bit-identical).
-    pub fn with_llm(mut self, llm: infless_llm::LlmConfig) -> Self {
-        if llm.enabled {
-            self.engine.set_llm_batching(llm.batching);
-            self.engine.enable_device_memory();
-        }
-        self
-    }
-
     /// The uniform batchsize chosen for function `f` (None if no
     /// feasible configuration exists).
     pub fn uniform_batch(&self, f: usize) -> Option<u32> {
@@ -209,135 +192,9 @@ impl BatchPlatform {
 
     /// Runs the workload to completion.
     pub fn run(mut self, workload: &Workload) -> RunReport {
-        let mut queue: EventQueue<EngineEvent> = EventQueue::new();
-        // The OTP buffer forwards each request after its dispatch
-        // delay; the uniform shift keeps the list sorted, so it can
-        // merge ahead of the heap (arrivals win equal-timestamp ties,
-        // exactly as when pre-scheduled).
-        let shifted: Vec<(SimTime, usize)> = workload
-            .arrivals()
-            .iter()
-            .map(|&(t, f)| (t + self.config.otp_delay, f))
-            .collect();
-        let mut arrivals = StagedStream::new(&shifted);
-        let tick_horizon = workload.end_time() + SimDuration::from_secs(5);
-        if !workload.is_empty() {
-            queue.schedule(SimTime::ZERO + self.config.tick, EngineEvent::ScalerTick);
-        }
         let faults = std::mem::take(&mut self.faults);
-        for &(t, ev) in faults.events() {
-            queue.schedule(t, EngineEvent::Fault(ev));
-        }
-        while let Some((t, ev)) = arrivals.next(&mut queue, EngineEvent::Arrival) {
-            self.engine.advance(t);
-            match ev {
-                EngineEvent::Arrival(f) => self.on_arrival(f, &mut queue),
-                EngineEvent::InstanceReady(id) => {
-                    let function = self
-                        .engine
-                        .is_live(id)
-                        .then(|| self.engine.instance(id).function().raw());
-                    self.engine.on_instance_ready(id, &mut queue);
-                    if let Some(f) = function {
-                        self.pump(f, &mut queue);
-                    }
-                }
-                // Never scheduled here (BATCH boots cold), but handled
-                // totally, mirroring InstanceReady.
-                EngineEvent::SwapComplete(id) => {
-                    let function = self
-                        .engine
-                        .is_live(id)
-                        .then(|| self.engine.instance(id).function().raw());
-                    self.engine.on_swap_complete(id, &mut queue);
-                    if let Some(f) = function {
-                        self.pump(f, &mut queue);
-                    }
-                }
-                EngineEvent::BatchTimeout(id) => self.engine.on_batch_timeout(id, &mut queue),
-                EngineEvent::BatchComplete(id) => {
-                    // Stale if a fault killed the instance mid-batch.
-                    if let Some(done) = self.engine.on_batch_complete(id, &mut queue) {
-                        self.pump(done.function, &mut queue);
-                    }
-                }
-                EngineEvent::DecodeStep(id) => {
-                    // Some only when the episode drained (instance idle).
-                    if let Some(done) = self.engine.on_decode_step(id, &mut queue) {
-                        self.pump(done.function, &mut queue);
-                    }
-                }
-                EngineEvent::ScalerTick => {
-                    self.tick(t, &mut queue);
-                    if t < tick_horizon {
-                        queue.schedule(t + self.config.tick, EngineEvent::ScalerTick);
-                    }
-                }
-                EngineEvent::Fault(fault) => self.handle_fault(fault, &mut queue),
-                // Coordinator directives exist only on the sharded
-                // INFless path; baselines never schedule them.
-                EngineEvent::DirectiveKill(..)
-                | EngineEvent::DirectiveStraggler { .. }
-                | EngineEvent::ResizeComplete(_) => {
-                    unreachable!("fault directives and resizes are never scheduled on BATCH")
-                }
-            }
-        }
+        driver::run(&mut self, workload, &faults);
         self.engine.finish()
-    }
-
-    /// Applies one injected fault. Displaced requests whose SLO budget
-    /// survives (and that still fit the admission cap) re-enter the
-    /// front of the OTP buffer — they arrived first — and the affected
-    /// functions are pumped immediately; replacement capacity itself
-    /// only appears at the next scaling tick, as BATCH's OTP layer
-    /// cannot react faster than its control loop.
-    fn handle_fault(
-        &mut self,
-        fault: infless_faults::FaultEvent,
-        queue: &mut EventQueue<EngineEvent>,
-    ) {
-        let outcome = self.engine.on_fault(fault);
-        if outcome.killed.is_empty() && outcome.displaced.is_empty() {
-            return;
-        }
-        let now = self.engine.now();
-        // Reverse order + push_front keeps the buffer arrival-ordered.
-        for req in outcome.displaced.into_iter().rev() {
-            let f = req.function.raw();
-            let slo = self.engine.functions()[f].slo();
-            let within_budget = now.saturating_since(req.arrival) < slo;
-            if within_budget
-                && self.fns[f].plan.is_some()
-                && self.fns[f].buffer.len() < self.buffer_cap(f)
-            {
-                self.fns[f].buffer.push_front(req);
-                self.engine.record_retry(&req);
-            } else {
-                self.engine.shed_request(&req);
-            }
-        }
-        let mut affected: Vec<usize> = outcome.killed.iter().map(|&(f, _)| f).collect();
-        affected.sort_unstable();
-        affected.dedup();
-        for f in affected {
-            self.pump(f, queue);
-        }
-    }
-
-    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
-        let now = self.engine.now();
-        // True gateway arrival precedes the buffer delay.
-        let arrival = now.saturating_sub(self.config.otp_delay);
-        let req = self.engine.mint_request_arrived(f, arrival);
-        self.fns[f].recent_arrivals.push_back(now);
-        let cap = self.buffer_cap(f);
-        if self.fns[f].plan.is_none() || self.fns[f].buffer.len() >= cap {
-            self.engine.drop_request(&req);
-            return;
-        }
-        self.fns[f].buffer.push_back(req);
-        self.pump(f, queue);
     }
 
     /// The SLO-aware admission cap: roughly two batch rounds of backlog
@@ -385,61 +242,6 @@ impl BatchPlatform {
                 break;
             }
         }
-    }
-
-    fn tick(&mut self, now: SimTime, queue: &mut EventQueue<EngineEvent>) {
-        for f in 0..self.fns.len() {
-            // Monitor.
-            let horizon = now.saturating_sub(self.config.monitor_window);
-            while let Some(&t) = self.fns[f].recent_arrivals.front() {
-                if t < horizon {
-                    self.fns[f].recent_arrivals.pop_front();
-                } else {
-                    break;
-                }
-            }
-            let window = self
-                .config
-                .monitor_window
-                .min(now.saturating_since(SimTime::ZERO))
-                .as_secs_f64()
-                .max(1.0);
-            let rps = self.fns[f].recent_arrivals.len() as f64 / window;
-
-            let Some(plan) = self.fns[f].plan else {
-                continue;
-            };
-            // Uniform scaling: n = ceil(R / r_up), plus one catch-up
-            // instance per tick while the buffer holds a backlog.
-            let mut desired = (rps / plan.window.r_up()).ceil() as usize;
-            if self.fns[f].buffer.len() > plan.config.batch() as usize {
-                desired += 1;
-            }
-            let live = self.engine.instances_of(f).len();
-            for _ in live..desired {
-                if self.launch(f, plan, queue).is_none() {
-                    break;
-                }
-            }
-            self.pump(f, queue);
-            // Fixed keep-alive reaping (no proactive scale-in).
-            let dead: Vec<InstanceId> = self
-                .engine
-                .instances_of(f)
-                .iter()
-                .copied()
-                .filter(|id| self.engine.instance(*id).idle_for(now) > self.config.keep_alive)
-                .collect();
-            for id in dead {
-                self.engine.retire(id);
-            }
-        }
-        let beta = self.engine.beta();
-        let frag = self.engine.cluster().fragment_ratio(beta);
-        self.engine.collector.fragment_sample(frag);
-        let used = self.engine.cluster().weighted_in_use(beta);
-        self.engine.collector.provision_point(now, used);
-        self.engine.sample_telemetry();
     }
 
     fn launch(
@@ -492,6 +294,130 @@ impl BatchPlatform {
                 fa.partial_cmp(&fb).expect("finite")
             })
             .map(|s| s.id())
+    }
+}
+
+impl Policy for BatchPlatform {
+    fn engine(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    /// The OTP buffer forwards each request after its dispatch delay.
+    fn gateway_delay(&self) -> SimDuration {
+        self.config.otp_delay
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        self.config.tick
+    }
+
+    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
+        let now = self.engine.now();
+        // True gateway arrival precedes the buffer delay.
+        let arrival = now.saturating_sub(self.config.otp_delay);
+        let req = self.engine.mint_request_arrived(f, arrival);
+        self.fns[f].recent_arrivals.push_back(now);
+        let cap = self.buffer_cap(f);
+        if self.fns[f].plan.is_none() || self.fns[f].buffer.len() >= cap {
+            self.engine.drop_request(&req);
+            return;
+        }
+        self.fns[f].buffer.push_back(req);
+        self.pump(f, queue);
+    }
+
+    fn on_tick(&mut self, queue: &mut EventQueue<EngineEvent>) {
+        let now = self.engine.now();
+        for f in 0..self.fns.len() {
+            // Monitor.
+            let horizon = now.saturating_sub(self.config.monitor_window);
+            while let Some(&t) = self.fns[f].recent_arrivals.front() {
+                if t < horizon {
+                    self.fns[f].recent_arrivals.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let window = self
+                .config
+                .monitor_window
+                .min(now.saturating_since(SimTime::ZERO))
+                .as_secs_f64()
+                .max(1.0);
+            let rps = self.fns[f].recent_arrivals.len() as f64 / window;
+
+            let Some(plan) = self.fns[f].plan else {
+                continue;
+            };
+            // Uniform scaling: n = ceil(R / r_up), plus one catch-up
+            // instance per tick while the buffer holds a backlog.
+            let mut desired = (rps / plan.window.r_up()).ceil() as usize;
+            if self.fns[f].buffer.len() > plan.config.batch() as usize {
+                desired += 1;
+            }
+            let live = self.engine.instances_of(f).len();
+            for _ in live..desired {
+                if self.launch(f, plan, queue).is_none() {
+                    break;
+                }
+            }
+            self.pump(f, queue);
+            // Fixed keep-alive reaping (no proactive scale-in).
+            let dead: Vec<InstanceId> = self
+                .engine
+                .instances_of(f)
+                .iter()
+                .copied()
+                .filter(|id| self.engine.instance(*id).idle_for(now) > self.config.keep_alive)
+                .collect();
+            for id in dead {
+                self.engine.retire(id);
+            }
+        }
+        self.engine.sample_cluster();
+    }
+
+    /// Applies one injected fault. Displaced requests whose SLO budget
+    /// survives (and that still fit the admission cap) re-enter the
+    /// front of the OTP buffer — they arrived first — and the affected
+    /// functions are pumped immediately; replacement capacity itself
+    /// only appears at the next scaling tick, as BATCH's OTP layer
+    /// cannot react faster than its control loop.
+    fn on_fault(&mut self, fault: FaultEvent, queue: &mut EventQueue<EngineEvent>) {
+        let outcome = self.engine.on_fault(fault);
+        if outcome.killed.is_empty() && outcome.displaced.is_empty() {
+            return;
+        }
+        let now = self.engine.now();
+        // Reverse order + push_front keeps the buffer arrival-ordered.
+        for req in outcome.displaced.into_iter().rev() {
+            let f = req.function.raw();
+            let slo = self.engine.functions()[f].slo();
+            let within_budget = now.saturating_since(req.arrival) < slo;
+            if within_budget
+                && self.fns[f].plan.is_some()
+                && self.fns[f].buffer.len() < self.buffer_cap(f)
+            {
+                self.fns[f].buffer.push_front(req);
+                self.engine.record_retry(&req);
+            } else {
+                self.engine.shed_request(&req);
+            }
+        }
+        let mut affected: Vec<usize> = outcome.killed.iter().map(|&(f, _)| f).collect();
+        affected.sort_unstable();
+        affected.dedup();
+        for f in affected {
+            self.pump(f, queue);
+        }
+    }
+
+    fn on_ready(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
+        self.pump(f, queue);
+    }
+
+    fn on_completion(&mut self, done: CompletedBatch, queue: &mut EventQueue<EngineEvent>) {
+        self.pump(done.function, queue);
     }
 }
 

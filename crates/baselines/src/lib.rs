@@ -10,32 +10,38 @@
 //!   configuration, uniform scaling, a fixed keep-alive window and the
 //!   OTP buffer's extra dispatch latency. A best-fit placement variant
 //!   gives the paper's **BATCH+RS** system (Fig. 17b).
-//! * [`Torpor`] — a GPU-memory-tier baseline (Yu et al.): the same
-//!   reactive semantics as OpenFaaS+, but every model's weights stay
-//!   pinned in host RAM and a launch is a pipelined PCIe swap-in
-//!   instead of a container boot + disk load.
+//! * [`Torpor`] — a GPU-memory-tier baseline (Yu et al.): OpenFaaS+
+//!   with [`OpenFaasConfig::startup`] set to swap-in, so every model's
+//!   weights stay pinned in host RAM and a launch is a pipelined PCIe
+//!   swap-in instead of a container boot + disk load.
 //! * [`lambda`] — an AWS-Lambda-like platform model (proportional
 //!   CPU-memory allocation, CPU only) for the §2 motivation study
 //!   (Fig. 2, Fig. 3).
 //! * [`cost`] — the Table 4 cost model (CPU $0.034/h, 2080Ti $2.5/h)
 //!   plus the statically-provisioned EC2 reference point.
 //!
-//! All platforms run on `infless-core`'s [`Engine`](infless_core::Engine)
-//! so that differences in results come from policy, not plumbing.
+//! * [`execute()`] — the one execution entry point: runs any [`System`]
+//!   on a [`Deployment`] under a [`RunConfig`](infless_core::RunConfig),
+//!   for the bench harness, scenario descriptors and tests alike.
+//!
+//! Every platform is a [`Policy`](infless_core::Policy) over
+//! `infless-core`'s [`Engine`](infless_core::Engine), driven by the one
+//! event loop in [`infless_core::driver`], so differences in results
+//! come from policy, not plumbing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod cost;
+pub mod execute;
 pub mod lambda;
 pub mod openfaas;
-pub mod torpor;
 
 pub use batch::{
     uniform_plan, BatchConfig, BatchPlacement, BatchPlatform, UniformPlan, BATCH_PROFILE_MARGIN,
 };
 pub use cost::{CostModel, CostSummary};
+pub use execute::{execute, Deployment, ExecuteError, System};
 pub use lambda::{LambdaModel, LAMBDA_MEMORY_STEPS_MB};
-pub use openfaas::{OpenFaasConfig, OpenFaasPlus};
-pub use torpor::{Torpor, TorporConfig};
+pub use openfaas::{OpenFaasConfig, OpenFaasPlus, Torpor};

@@ -6,13 +6,21 @@
 //! same fixed allocation (2 CPU cores + 10 % GPU SMs), scaling is
 //! purely reactive (a request with no free instance triggers a launch),
 //! and idle instances die after a fixed 300-second keep-alive.
+//!
+//! [`Torpor`] (Yu et al.) is the same platform with one mechanism
+//! changed: every model's weights stay pinned in host RAM and a launch
+//! is a pipelined PCIe swap-in instead of a container boot + disk load
+//! ([`OpenFaasConfig::startup`] = [`StartupKind::SwapIn`]). Differences
+//! between the two in the failure sweeps are therefore attributable to
+//! swap-based versus boot-based recovery alone.
 
 use infless_cluster::{ClusterSpec, InstanceConfig, InstanceId, InstanceState, Request};
-use infless_faults::FaultSchedule;
+use infless_faults::{FaultEvent, FaultSchedule};
 use infless_models::{HardwareModel, ResourceConfig};
-use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
+use infless_sim::{EventQueue, SimDuration, SimTime};
 use infless_workload::Workload;
 
+use infless_core::driver::{self, Policy};
 use infless_core::engine::{Engine, EngineEvent, FunctionInfo};
 use infless_core::metrics::{RunReport, StartupKind};
 use infless_core::router::LeastLoadedScratch;
@@ -31,6 +39,11 @@ pub struct OpenFaasConfig {
     /// OpenFaaS/Kubernetes scale in rate-limited steps rather than one
     /// pod per queued request.
     pub max_concurrent_starts: usize,
+    /// How a launch starts: [`StartupKind::Cold`] boots the container
+    /// and loads the model (OpenFaaS+); [`StartupKind::SwapIn`] swaps
+    /// host-pinned weights onto the GPU (Torpor), which also turns on
+    /// device-memory booking.
+    pub startup: StartupKind,
 }
 
 impl Default for OpenFaasConfig {
@@ -40,6 +53,7 @@ impl Default for OpenFaasConfig {
             keep_alive: SimDuration::from_secs(300),
             reap_period: SimDuration::from_secs(1),
             max_concurrent_starts: 8,
+            startup: StartupKind::Cold,
         }
     }
 }
@@ -85,13 +99,14 @@ impl OpenFaasPlus {
         config: OpenFaasConfig,
         seed: u64,
     ) -> Self {
-        let engine = Engine::new(
-            "OpenFaaS+",
-            cluster,
-            HardwareModel::default(),
-            functions,
-            seed,
-        );
+        let swap_in = config.startup == StartupKind::SwapIn;
+        let name = if swap_in { "Torpor" } else { "OpenFaaS+" };
+        let mut engine = Engine::new(name, cluster, HardwareModel::default(), functions, seed);
+        if swap_in {
+            // Weights are host-resident from deploy time, so every GPU
+            // placement books device memory from the start.
+            engine.enable_device_memory();
+        }
         OpenFaasPlus {
             engine,
             config,
@@ -114,104 +129,11 @@ impl OpenFaasPlus {
         self
     }
 
-    /// Attaches a shared metrics registry, fed at every scaler tick.
-    /// The registry never feeds back into the simulation.
-    pub fn with_metrics(mut self, handle: infless_telemetry::MetricsHandle) -> Self {
-        self.engine.set_metrics(handle);
-        self
-    }
-
-    /// Applies the autoregressive serving knobs: decode-batching
-    /// discipline plus device-memory booking for KV arenas. A disabled
-    /// config is a no-op (runs stay bit-identical).
-    pub fn with_llm(mut self, llm: infless_llm::LlmConfig) -> Self {
-        if llm.enabled {
-            self.engine.set_llm_batching(llm.batching);
-            self.engine.enable_device_memory();
-        }
-        self
-    }
-
     /// Runs the workload to completion.
     pub fn run(mut self, workload: &Workload) -> RunReport {
-        let mut queue: EventQueue<EngineEvent> = EventQueue::new();
-        // Merged ahead of the heap; arrivals win equal-timestamp ties
-        // (including against faults), exactly as when pre-scheduled.
-        let mut arrivals = StagedStream::new(workload.arrivals());
-        let tick_horizon = workload.end_time() + SimDuration::from_secs(5);
-        if !workload.is_empty() {
-            queue.schedule(
-                SimTime::ZERO + self.config.reap_period,
-                EngineEvent::ScalerTick,
-            );
-        }
         let faults = std::mem::take(&mut self.faults);
-        for &(t, ev) in faults.events() {
-            queue.schedule(t, EngineEvent::Fault(ev));
-        }
-        while let Some((t, ev)) = arrivals.next(&mut queue, EngineEvent::Arrival) {
-            self.engine.advance(t);
-            match ev {
-                EngineEvent::Arrival(f) => self.on_arrival(f, &mut queue),
-                EngineEvent::InstanceReady(id) => self.engine.on_instance_ready(id, &mut queue),
-                // Never scheduled here (every pod boots cold), but the
-                // handler is total for engine-event completeness.
-                EngineEvent::SwapComplete(id) => self.engine.on_swap_complete(id, &mut queue),
-                EngineEvent::BatchTimeout(id) => self.engine.on_batch_timeout(id, &mut queue),
-                EngineEvent::BatchComplete(id) => {
-                    // Stale (None) if a fault killed the instance
-                    // mid-batch; OpenFaaS has no chain relay to run.
-                    self.engine.on_batch_complete(id, &mut queue);
-                }
-                EngineEvent::DecodeStep(id) => {
-                    self.engine.on_decode_step(id, &mut queue);
-                }
-                EngineEvent::ScalerTick => {
-                    self.reap(t);
-                    self.sample(t);
-                    if t < tick_horizon {
-                        queue.schedule(t + self.config.reap_period, EngineEvent::ScalerTick);
-                    }
-                }
-                EngineEvent::Fault(fault) => {
-                    // Reactive recovery: displaced requests with SLO
-                    // budget left re-enter placement (which launches
-                    // replacement pods exactly as a fresh arrival
-                    // would); the rest are shed.
-                    let outcome = self.engine.on_fault(fault);
-                    for req in outcome.displaced {
-                        let f = req.function.raw();
-                        let slo = self.engine.functions()[f].slo();
-                        let now = self.engine.now();
-                        if now.saturating_since(req.arrival) < slo && self.place(f, req, &mut queue)
-                        {
-                            self.engine.record_retry(&req);
-                        } else {
-                            self.engine.shed_request(&req);
-                        }
-                    }
-                }
-                // Coordinator directives exist only on the sharded
-                // INFless path; baselines never schedule them.
-                EngineEvent::DirectiveKill(..)
-                | EngineEvent::DirectiveStraggler { .. }
-                | EngineEvent::ResizeComplete(_) => {
-                    unreachable!("fault directives and resizes are never scheduled on OpenFaaS")
-                }
-            }
-        }
+        driver::run(&mut self, workload, &faults);
         self.engine.finish()
-    }
-
-    /// One-to-one dispatch: a free (idle, empty-queue) instance takes
-    /// the request; otherwise a new pod is launched for it — subject to
-    /// the platform's scaling rate limit, beyond which the request
-    /// queues one-deep behind a busy/starting pod or is rejected.
-    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
-        let req = self.engine.mint_request(f);
-        if !self.place(f, req, queue) {
-            self.engine.drop_request(&req);
-        }
     }
 
     /// Tries to place `req` (an arrival or a fault-displaced retry);
@@ -223,10 +145,10 @@ impl OpenFaasPlus {
             debug_assert!(accepted, "a free instance always accepts one request");
             return true;
         }
-        // Reactive scale-out: one instance per unserved request. The
-        // stock platform has no pre-warming: every pod pays the full
-        // container boot + model load. Scaling is rate-limited, as
-        // Kubernetes' is.
+        // Reactive scale-out: one instance per unserved request. There
+        // is no pre-warming: every pod pays the full container boot +
+        // model load, or (Torpor) the swap-in from host RAM. Scaling is
+        // rate-limited, as Kubernetes' is.
         let starting = self
             .engine
             .instances_of(f)
@@ -235,9 +157,10 @@ impl OpenFaasPlus {
             .count();
         if starting < self.config.max_concurrent_starts {
             let cfg = InstanceConfig::new(1, self.config.instance_resources);
-            if let Ok(id) =
-                self.engine
-                    .launch_anywhere(f, cfg, StartupKind::Cold, SimDuration::MAX, queue)
+            let startup = self.config.startup;
+            if let Ok(id) = self
+                .engine
+                .launch_anywhere(f, cfg, startup, SimDuration::MAX, queue)
             {
                 let accepted = self.engine.enqueue(id, req, queue);
                 debug_assert!(accepted);
@@ -276,14 +199,101 @@ impl OpenFaasPlus {
             self.engine.retire(id);
         }
     }
+}
 
-    fn sample(&mut self, now: SimTime) {
-        let beta = self.engine.beta();
-        let frag = self.engine.cluster().fragment_ratio(beta);
-        self.engine.collector.fragment_sample(frag);
-        let used = self.engine.cluster().weighted_in_use(beta);
-        self.engine.collector.provision_point(now, used);
-        self.engine.sample_telemetry();
+impl Policy for OpenFaasPlus {
+    fn engine(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        self.config.reap_period
+    }
+
+    /// One-to-one dispatch: a free (idle, empty-queue) instance takes
+    /// the request; otherwise a new pod is launched for it — subject to
+    /// the platform's scaling rate limit, beyond which the request
+    /// queues one-deep behind a busy/starting pod or is rejected.
+    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
+        let req = self.engine.mint_request(f);
+        if !self.place(f, req, queue) {
+            self.engine.drop_request(&req);
+        }
+    }
+
+    fn on_tick(&mut self, _queue: &mut EventQueue<EngineEvent>) {
+        let now = self.engine.now();
+        self.reap(now);
+        self.engine.sample_cluster();
+    }
+
+    /// Reactive recovery: displaced requests with SLO budget left
+    /// re-enter placement (which launches replacement pods exactly as a
+    /// fresh arrival would); the rest are shed.
+    fn on_fault(&mut self, fault: FaultEvent, queue: &mut EventQueue<EngineEvent>) {
+        let outcome = self.engine.on_fault(fault);
+        for req in outcome.displaced {
+            let f = req.function.raw();
+            let slo = self.engine.functions()[f].slo();
+            let now = self.engine.now();
+            if now.saturating_since(req.arrival) < slo && self.place(f, req, queue) {
+                self.engine.record_retry(&req);
+            } else {
+                self.engine.shed_request(&req);
+            }
+        }
+    }
+}
+
+/// The Torpor platform: OpenFaaS+ with swap-in launches. Equivalent to
+/// [`OpenFaasPlus::with_config`] with [`OpenFaasConfig::startup`] set
+/// to [`StartupKind::SwapIn`].
+///
+/// # Example
+///
+/// ```
+/// use infless_baselines::Torpor;
+/// use infless_cluster::ClusterSpec;
+/// use infless_core::apps::Application;
+/// use infless_sim::SimDuration;
+/// use infless_workload::{FunctionLoad, Workload};
+///
+/// let app = Application::qa_robot();
+/// let loads: Vec<_> = app.functions().iter()
+///     .map(|_| FunctionLoad::constant(10.0, SimDuration::from_secs(10)))
+///     .collect();
+/// let workload = Workload::build(&loads, 1);
+/// let report = Torpor::new(ClusterSpec::testbed(), app.functions().to_vec(), 1)
+///     .run(&workload);
+/// assert!(report.swap_launches > 0);
+/// ```
+#[derive(Debug)]
+pub struct Torpor(pub(crate) OpenFaasPlus);
+
+impl Torpor {
+    /// Builds the platform with the OpenFaaS+ defaults and swap-in
+    /// launches.
+    pub fn new(cluster: ClusterSpec, functions: Vec<FunctionInfo>, seed: u64) -> Self {
+        let config = OpenFaasConfig {
+            startup: StartupKind::SwapIn,
+            ..OpenFaasConfig::default()
+        };
+        Torpor(OpenFaasPlus::with_config(cluster, functions, config, seed))
+    }
+
+    /// As [`OpenFaasPlus::with_fault_schedule`].
+    pub fn with_fault_schedule(self, faults: FaultSchedule) -> Self {
+        Torpor(self.0.with_fault_schedule(faults))
+    }
+
+    /// As [`OpenFaasPlus::with_telemetry`].
+    pub fn with_telemetry(self, sink: Box<dyn infless_telemetry::TelemetrySink>) -> Self {
+        Torpor(self.0.with_telemetry(sink))
+    }
+
+    /// As [`OpenFaasPlus::run`].
+    pub fn run(self, workload: &Workload) -> RunReport {
+        self.0.run(workload)
     }
 }
 
@@ -291,17 +301,28 @@ impl OpenFaasPlus {
 mod tests {
     use super::*;
     use infless_core::apps::Application;
+    use infless_faults::FaultPlan;
     use infless_workload::FunctionLoad;
 
-    fn run(rps: f64, secs: u64) -> RunReport {
+    fn workload(rps: f64, secs: u64) -> (Application, Workload) {
         let app = Application::qa_robot();
         let loads: Vec<FunctionLoad> = app
             .functions()
             .iter()
             .map(|_| FunctionLoad::constant(rps, SimDuration::from_secs(secs)))
             .collect();
-        let workload = Workload::build(&loads, 5);
-        OpenFaasPlus::new(ClusterSpec::testbed(), app.functions().to_vec(), 5).run(&workload)
+        let w = Workload::build(&loads, 5);
+        (app, w)
+    }
+
+    fn run(rps: f64, secs: u64) -> RunReport {
+        let (app, w) = workload(rps, secs);
+        OpenFaasPlus::new(ClusterSpec::testbed(), app.functions().to_vec(), 5).run(&w)
+    }
+
+    fn run_torpor(rps: f64, secs: u64) -> RunReport {
+        let (app, w) = workload(rps, secs);
+        Torpor::new(ClusterSpec::testbed(), app.functions().to_vec(), 5).run(&w)
     }
 
     #[test]
@@ -361,5 +382,76 @@ mod tests {
         let b = run(15.0, 20);
         assert_eq!(a.total_completed(), b.total_completed());
         assert_eq!(a.launches, b.launches);
+    }
+
+    #[test]
+    fn every_launch_is_a_swap_in() {
+        let report = run_torpor(20.0, 30);
+        assert!(report.total_completed() > 0);
+        assert!(report.swap_launches > 0);
+        assert_eq!(report.cold_launches, 0, "Torpor never boots from disk");
+        assert_eq!(report.swap_launches, report.launches);
+    }
+
+    #[test]
+    fn swap_starts_beat_openfaas_cold_starts() {
+        let (app, w) = workload(20.0, 30);
+        let torpor = Torpor::new(ClusterSpec::testbed(), app.functions().to_vec(), 5).run(&w);
+        let ofp = OpenFaasPlus::new(ClusterSpec::testbed(), app.functions().to_vec(), 5).run(&w);
+        assert!(torpor.functions[0].cold_ms.count() > 0);
+        assert!(ofp.functions[0].cold_ms.count() > 0);
+        let t_cold = torpor.functions[0].cold_ms.mean();
+        let o_cold = ofp.functions[0].cold_ms.mean();
+        assert!(
+            t_cold < o_cold / 2.0,
+            "swap-in start ({t_cold:.0} ms) should be far below boot ({o_cold:.0} ms)"
+        );
+    }
+
+    #[test]
+    fn swap_recovery_beats_boot_recovery_under_faults() {
+        // Bursty load keeps the reactive fleets launching after the
+        // sweep's crashes, so the recapacity probes actually credit;
+        // identical seeds on both systems make the gap a pure
+        // swap-vs-boot recovery gap.
+        use infless_workload::TracePattern;
+        let app = Application::qa_robot();
+        let dur = SimDuration::from_mins(3);
+        let loads: Vec<FunctionLoad> = app
+            .functions()
+            .iter()
+            .map(|_| FunctionLoad::trace(TracePattern::Bursty, 80.0, dur, 42))
+            .collect();
+        let w = Workload::build(&loads, 42);
+        let schedule = || {
+            FaultSchedule::generate(
+                &FaultPlan::sweep(4.0),
+                ClusterSpec::testbed().servers,
+                dur,
+                9,
+            )
+        };
+        let torpor = Torpor::new(ClusterSpec::testbed(), app.functions().to_vec(), 5)
+            .with_fault_schedule(schedule())
+            .run(&w);
+        let ofp = OpenFaasPlus::new(ClusterSpec::testbed(), app.functions().to_vec(), 5)
+            .with_fault_schedule(schedule())
+            .run(&w);
+        let t = torpor.failures.mean_time_to_recapacity_ms();
+        let o = ofp.failures.mean_time_to_recapacity_ms();
+        assert!(t.is_some(), "no recapacity samples on the Torpor run");
+        assert!(
+            t.unwrap() < o.unwrap_or(f64::MAX) / 2.0,
+            "swap recovery ({t:?} ms) should clearly beat boot recovery ({o:?} ms)"
+        );
+    }
+
+    #[test]
+    fn torpor_is_deterministic() {
+        let a = run_torpor(15.0, 20);
+        let b = run_torpor(15.0, 20);
+        assert_eq!(a.total_completed(), b.total_completed());
+        assert_eq!(a.launches, b.launches);
+        assert_eq!(a.swap_launches, b.swap_launches);
     }
 }

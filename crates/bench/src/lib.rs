@@ -19,13 +19,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use infless_baselines::{BatchConfig, BatchPlacement, BatchPlatform, OpenFaasPlus, Torpor};
+pub use infless_baselines::System;
 use infless_cluster::ClusterSpec;
-use infless_core::engine::FunctionInfo;
 use infless_core::metrics::RunReport;
-use infless_core::platform::{InflessConfig, InflessPlatform};
-use infless_core::runconfig::RunConfig;
-use infless_core::sharded::ShardedInfless;
 use infless_faults::{FaultPlan, FaultSchedule};
 use infless_models::CacheOutcome;
 use infless_sim::SimDuration;
@@ -73,152 +69,6 @@ fn results_dir() -> PathBuf {
     dir.pop(); // crates/
     dir.pop(); // workspace root
     dir.join("target").join("infless-results")
-}
-
-/// The platforms under comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum System {
-    /// The one-to-one baseline.
-    OpenFaasPlus,
-    /// The OTP batching baseline.
-    Batch,
-    /// BATCH with best-fit placement (Fig. 17b).
-    BatchRs,
-    /// The paper's system.
-    Infless,
-    /// The GPU-memory-tier baseline (host-RAM model cache + PCIe
-    /// swap-in launches).
-    Torpor,
-}
-
-impl System {
-    /// The Figs. 11/12/15 comparison trio.
-    pub fn trio() -> [System; 3] {
-        [System::OpenFaasPlus, System::Batch, System::Infless]
-    }
-
-    /// The trio plus the Torpor swap baseline — the cold-start and
-    /// failure-sweep comparison set.
-    pub fn all() -> [System; 4] {
-        [
-            System::OpenFaasPlus,
-            System::Batch,
-            System::Torpor,
-            System::Infless,
-        ]
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            System::OpenFaasPlus => "OpenFaaS+",
-            System::Batch => "BATCH",
-            System::BatchRs => "BATCH+RS",
-            System::Infless => "INFless",
-            System::Torpor => "Torpor",
-        }
-    }
-
-    /// Runs this system with default knobs — shorthand for
-    /// [`System::execute`] with a default [`RunConfig`].
-    pub fn run(
-        self,
-        cluster: ClusterSpec,
-        functions: &[FunctionInfo],
-        workload: &Workload,
-        seed: u64,
-    ) -> RunReport {
-        self.execute(cluster, functions, workload, seed, RunConfig::new())
-    }
-
-    /// Runs this system under the unified execution API: shards, fault
-    /// schedule, telemetry sink and residency knobs all ride in
-    /// `config`. A default config is the classic single-core,
-    /// fault-free, telemetry-free run, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` fails [`RunConfig::validate`], or when a
-    /// sharded run (an explicit shard count, even 1) is requested for
-    /// a system other than INFless — the baselines have no
-    /// epoch-barrier driver.
-    pub fn execute(
-        self,
-        cluster: ClusterSpec,
-        functions: &[FunctionInfo],
-        workload: &Workload,
-        seed: u64,
-        config: RunConfig,
-    ) -> RunReport {
-        if let Err(e) = config.validate() {
-            panic!("invalid run config for {}: {e}", self.name());
-        }
-        let sharded = config.is_sharded().then(|| config.effective_shards());
-        // Empty schedule and NullSink are the platforms' own defaults;
-        // attaching them explicitly is bit-identical to not doing so.
-        let schedule = config.fault_schedule.unwrap_or_else(FaultSchedule::empty);
-        let sink = config
-            .telemetry
-            .unwrap_or_else(|| Box::new(infless_telemetry::NullSink));
-        let llm = config.llm.unwrap_or_default();
-        let infless_config = || {
-            let mut cfg = InflessConfig::default();
-            if let Some(residency) = config.residency {
-                cfg.residency = residency;
-            }
-            cfg.llm = llm;
-            if let Some(policy) = config.scale_policy {
-                cfg.scale_policy = policy;
-            }
-            cfg
-        };
-        if let Some(shards) = sharded {
-            assert!(
-                self == System::Infless,
-                "sharded execution is INFless-only; {} has no epoch-barrier driver",
-                self.name()
-            );
-            return ShardedInfless::new(cluster, functions.to_vec(), infless_config(), seed)
-                .with_fault_schedule(schedule)
-                .run(workload, shards);
-        }
-        match self {
-            System::OpenFaasPlus => OpenFaasPlus::new(cluster, functions.to_vec(), seed)
-                .with_fault_schedule(schedule)
-                .with_telemetry(sink)
-                .with_llm(llm)
-                .run(workload),
-            System::Batch => BatchPlatform::new(cluster, functions.to_vec(), seed)
-                .with_fault_schedule(schedule)
-                .with_telemetry(sink)
-                .with_llm(llm)
-                .run(workload),
-            System::BatchRs => BatchPlatform::with_config(
-                cluster,
-                functions.to_vec(),
-                BatchConfig {
-                    placement: BatchPlacement::BestFit,
-                    ..BatchConfig::default()
-                },
-                seed,
-            )
-            .with_fault_schedule(schedule)
-            .with_telemetry(sink)
-            .with_llm(llm)
-            .run(workload),
-            System::Torpor => Torpor::new(cluster, functions.to_vec(), seed)
-                .with_fault_schedule(schedule)
-                .with_telemetry(sink)
-                .with_llm(llm)
-                .run(workload),
-            System::Infless => {
-                InflessPlatform::new(cluster, functions.to_vec(), infless_config(), seed)
-                    .with_fault_schedule(schedule)
-                    .with_telemetry(sink)
-                    .run(workload)
-            }
-        }
-    }
 }
 
 /// Generates the seeded fault schedule for a `(plan, cluster,

@@ -8,10 +8,11 @@
 //! batch queues, starting batches when they are full or timed out, and
 //! recording the latency breakdown of every completed request.
 //!
-//! Platforms drive the engine from their own event loop over
-//! [`EngineEvent`]s: arrivals go through the platform's dispatcher
-//! (that is where systems differ), everything else is handled by the
-//! engine's `on_*` methods.
+//! Platforms are [`Policy`](crate::Policy) hooks over the one event
+//! loop in [`crate::driver`]: arrivals go through the platform's
+//! dispatcher (that is where systems differ), the mechanical part of
+//! every other [`EngineEvent`] is handled by the engine's `on_*`
+//! methods.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -1615,6 +1616,17 @@ impl Engine {
     /// Weighted resource cost `β·c + g` of a configuration.
     pub fn weighted_cost(&self, config: InstanceConfig) -> f64 {
         self.weights(config).0
+    }
+
+    /// The cluster-wide tail of every platform's scaler tick: a
+    /// fragment-ratio sample, a provisioning-timeline point and the
+    /// gauge sample of [`Self::sample_telemetry`].
+    pub fn sample_cluster(&mut self) {
+        let frag = self.cluster.fragment_ratio(self.beta);
+        self.collector.fragment_sample(frag);
+        let used = self.cluster.weighted_in_use(self.beta);
+        self.collector.provision_point(self.now, used);
+        self.sample_telemetry();
     }
 
     /// Samples the run's gauges (instance counts, occupancy, queue

@@ -22,7 +22,10 @@
 //!   lifecycle, batch queues, request accounting) used by INFless *and*
 //!   by the baseline platforms in `infless-baselines`, so every system
 //!   is compared on identical machinery.
-//! * [`platform`] — [`InflessPlatform`]: the full event loop tying the
+//! * [`driver`] — the one event loop every platform runs on: a
+//!   platform is a [`Policy`] (arrival, scaler-tick, fault-recovery,
+//!   ready and completion hooks) over the shared engine.
+//! * [`platform`] — [`InflessPlatform`]: the INFless policy tying the
 //!   pieces together (batch-aware dispatcher, auto-scaling engine,
 //!   cold-start manager).
 //! * [`apps`] — the two evaluation applications of §5.1: online
@@ -63,6 +66,7 @@ pub mod apps;
 pub mod batching;
 pub mod chains;
 pub mod coldstart;
+pub mod driver;
 pub mod engine;
 pub mod metrics;
 pub mod platform;
@@ -76,6 +80,7 @@ pub mod sharded;
 pub use batching::RpsWindow;
 pub use chains::{ChainReport, ChainSpec, ChainSplit};
 pub use coldstart::{ColdStartPolicy, FixedKeepAlive, HybridHistogram, Lsth, Windows};
+pub use driver::Policy;
 pub use engine::{Engine, EngineEvent, FunctionInfo};
 pub use metrics::{
     BreakdownHists, FunctionReport, LatencyParts, LlmFunctionStats, RunReport, StartupKind,

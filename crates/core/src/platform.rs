@@ -30,7 +30,8 @@ use crate::chains::{split_slo, split_slo_equal, ChainReport, ChainSpec, ChainSpl
 use crate::coldstart::{
     ColdStartPolicy, FixedKeepAlive, HybridHistogram, Lsth, Windows, DEFAULT_GAMMA,
 };
-use crate::engine::{Engine, EngineEvent, FunctionInfo};
+use crate::driver::{self, Policy};
+use crate::engine::{CompletedBatch, Engine, EngineEvent, FunctionInfo};
 use crate::metrics::{RunReport, StartupKind};
 use crate::predictor::{CopPredictor, DEFAULT_OFFSET};
 use crate::residency::ResidencyConfig;
@@ -481,14 +482,6 @@ impl InflessPlatform {
         self
     }
 
-    /// Attaches a shared metrics registry, fed at every scaler tick
-    /// with the gauge readings the collector records anyway. The
-    /// registry never feeds back into the simulation.
-    pub fn with_metrics(mut self, handle: infless_telemetry::MetricsHandle) -> Self {
-        self.engine.set_metrics(handle);
-        self
-    }
-
     /// Access to the COP predictor (for the Fig. 8 experiment).
     pub fn predictor(&self) -> &CopPredictor {
         &self.predictor
@@ -496,68 +489,8 @@ impl InflessPlatform {
 
     /// Runs the workload to completion and returns the report.
     pub fn run(mut self, workload: &Workload) -> RunReport {
-        let mut queue: EventQueue<EngineEvent> = EventQueue::new();
-        // Arrivals stay in the sorted workload slice and merge ahead of
-        // the heap at pop time (equal-timestamp ties go to the arrival,
-        // exactly as when they were pre-scheduled with the lowest
-        // sequence numbers — including against fault events: the
-        // request reaches the gateway an instant before the machine
-        // dies). Keeping millions of arrivals out of the heap is a
-        // large constant-factor win on the hot path.
-        let mut arrivals = StagedStream::new(workload.arrivals());
-        let tick_horizon = workload.end_time() + SimDuration::from_secs(5);
-        if !workload.is_empty() {
-            queue.schedule(
-                SimTime::ZERO + self.config.scaler_period,
-                EngineEvent::ScalerTick,
-            );
-        }
         let faults = std::mem::take(&mut self.faults);
-        for &(t, ev) in faults.events() {
-            queue.schedule(t, EngineEvent::Fault(ev));
-        }
-        while let Some((t, ev)) = arrivals.next(&mut queue, EngineEvent::Arrival) {
-            self.engine.advance(t);
-            match ev {
-                EngineEvent::Arrival(f) => self.on_arrival(f, &mut queue),
-                EngineEvent::InstanceReady(id) => self.engine.on_instance_ready(id, &mut queue),
-                EngineEvent::SwapComplete(id) => self.engine.on_swap_complete(id, &mut queue),
-                EngineEvent::BatchTimeout(id) => self.engine.on_batch_timeout(id, &mut queue),
-                EngineEvent::BatchComplete(id) => {
-                    // A fault may have killed the instance mid-batch;
-                    // its completion event is then stale (None).
-                    if let Some(done) = self.engine.on_batch_complete(id, &mut queue) {
-                        self.fns[done.function].last_activity = t;
-                        self.relay_chain_stages(&done, &mut queue);
-                    }
-                }
-                EngineEvent::DecodeStep(id) => {
-                    // Some only when the episode drained (instance idle).
-                    if let Some(done) = self.engine.on_decode_step(id, &mut queue) {
-                        self.fns[done.function].last_activity = t;
-                        self.relay_chain_stages(&done, &mut queue);
-                    }
-                }
-                EngineEvent::ScalerTick => {
-                    self.scaler_tick(&mut queue);
-                    if t < tick_horizon {
-                        queue.schedule(t + self.config.scaler_period, EngineEvent::ScalerTick);
-                    }
-                }
-                EngineEvent::Fault(fault) => self.handle_fault(fault, &mut queue),
-                EngineEvent::DirectiveKill(id, tag) => {
-                    self.handle_kill_directive(id, tag, &mut queue)
-                }
-                EngineEvent::DirectiveStraggler {
-                    server,
-                    slowdown_pct,
-                    duration,
-                } => self
-                    .engine
-                    .apply_straggler_directive(server, slowdown_pct, duration),
-                EngineEvent::ResizeComplete(id) => self.on_resize_complete(id, &mut queue),
-            }
-        }
+        driver::run(&mut self, workload, &faults);
         let mut report = self.engine.finish();
         report.chains = self.chains.reports;
         report
@@ -584,37 +517,11 @@ impl InflessPlatform {
         until: SimTime,
     ) {
         while let Some((t, ev)) = arrivals.next_until(queue, until, EngineEvent::Arrival) {
-            self.engine.advance(t);
-            match ev {
-                EngineEvent::Arrival(f) => self.on_arrival(f, queue),
-                EngineEvent::InstanceReady(id) => self.engine.on_instance_ready(id, queue),
-                EngineEvent::SwapComplete(id) => self.engine.on_swap_complete(id, queue),
-                EngineEvent::BatchTimeout(id) => self.engine.on_batch_timeout(id, queue),
-                EngineEvent::BatchComplete(id) => {
-                    if let Some(done) = self.engine.on_batch_complete(id, queue) {
-                        self.fns[done.function].last_activity = t;
-                        self.relay_chain_stages(&done, queue);
-                    }
-                }
-                EngineEvent::DecodeStep(id) => {
-                    if let Some(done) = self.engine.on_decode_step(id, queue) {
-                        self.fns[done.function].last_activity = t;
-                        self.relay_chain_stages(&done, queue);
-                    }
-                }
-                EngineEvent::DirectiveKill(id, tag) => self.handle_kill_directive(id, tag, queue),
-                EngineEvent::DirectiveStraggler {
-                    server,
-                    slowdown_pct,
-                    duration,
-                } => self
-                    .engine
-                    .apply_straggler_directive(server, slowdown_pct, duration),
-                EngineEvent::ResizeComplete(id) => self.on_resize_complete(id, queue),
-                EngineEvent::ScalerTick | EngineEvent::Fault(_) => {
-                    unreachable!("epoch mode schedules neither scaler ticks nor raw faults")
-                }
-            }
+            debug_assert!(
+                !matches!(ev, EngineEvent::ScalerTick | EngineEvent::Fault(_)),
+                "epoch mode schedules neither scaler ticks nor raw faults"
+            );
+            driver::dispatch(self, t, ev, queue);
         }
         self.engine.advance(until);
     }
@@ -671,13 +578,6 @@ impl InflessPlatform {
     }
 
     // --- dispatcher (❷) ---------------------------------------------------
-
-    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
-        // A gateway arrival at a chain's entry stage starts that
-        // chain's end-to-end clock.
-        let chain_start = self.chains.entry_of(f).map(|_| self.engine.now());
-        self.deliver(f, chain_start, queue);
-    }
 
     /// Delivers one request to function `f`: updates the monitors,
     /// dispatches (unparking or emergency-scaling if needed), and
@@ -813,7 +713,7 @@ impl InflessPlatform {
     /// — so completions can land mid-epoch in sharded runs.
     ///
     /// [`ClusterState::try_resize`]: infless_cluster::ClusterState::try_resize
-    fn on_resize_complete(&mut self, id: InstanceId, queue: &mut EventQueue<EngineEvent>) {
+    fn land_resize(&mut self, id: InstanceId, queue: &mut EventQueue<EngineEvent>) {
         let Some((f, _new_config)) = self.engine.on_resize_complete(id, queue) else {
             return; // died mid-resize: books already unwound by the kill path
         };
@@ -955,15 +855,9 @@ impl InflessPlatform {
     /// after every per-function pass; the sharded coordinator replaces
     /// it with cross-shard sums recorded on shard 0.
     fn cluster_sample(&mut self) {
-        let now = self.engine.now();
-        let beta = self.engine.beta();
-        let frag = self.engine.cluster().fragment_ratio(beta);
-        self.engine.collector.fragment_sample(frag);
-        let used = self.engine.cluster().weighted_in_use(beta);
-        self.engine.collector.provision_point(now, used);
         let host_mb = self.host_cache_mb_now();
         self.engine.set_host_cache_mb(host_mb);
-        self.engine.sample_telemetry();
+        self.engine.sample_cluster();
     }
 
     /// Host-RAM model-cache occupancy right now: the summed weight
@@ -1863,6 +1757,49 @@ impl InflessPlatform {
         let w = self.fns[f].cached_windows;
         let since = now.saturating_since(last_activity);
         since >= w.pre_warm && since < w.pre_warm + w.keep_alive
+    }
+}
+
+impl Policy for InflessPlatform {
+    fn engine(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        self.config.scaler_period
+    }
+
+    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
+        // A gateway arrival at a chain's entry stage starts that
+        // chain's end-to-end clock.
+        let chain_start = self.chains.entry_of(f).map(|_| self.engine.now());
+        self.deliver(f, chain_start, queue);
+    }
+
+    fn on_tick(&mut self, queue: &mut EventQueue<EngineEvent>) {
+        self.scaler_tick(queue);
+    }
+
+    fn on_fault(&mut self, fault: FaultEvent, queue: &mut EventQueue<EngineEvent>) {
+        self.handle_fault(fault, queue);
+    }
+
+    fn on_completion(&mut self, done: CompletedBatch, queue: &mut EventQueue<EngineEvent>) {
+        self.fns[done.function].last_activity = self.engine.now();
+        self.relay_chain_stages(&done, queue);
+    }
+
+    fn on_kill_directive(
+        &mut self,
+        id: InstanceId,
+        tag: FaultTag,
+        queue: &mut EventQueue<EngineEvent>,
+    ) {
+        self.handle_kill_directive(id, tag, queue);
+    }
+
+    fn on_resize_complete(&mut self, id: InstanceId, queue: &mut EventQueue<EngineEvent>) {
+        self.land_resize(id, queue);
     }
 }
 

@@ -47,7 +47,9 @@ use std::collections::{HashSet, VecDeque};
 use infless_cluster::{ClusterOp, ClusterSpec, InstanceId, ServerHealth, ServerId};
 use infless_faults::{FaultEvent, FaultSchedule};
 use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
-use infless_telemetry::{DecisionBufferSink, DecisionRecord, FaultTag, MetricsHandle};
+use infless_telemetry::{
+    sort_decisions, DecisionBufferSink, DecisionRecord, FaultTag, MetricsHandle,
+};
 use infless_workload::Workload;
 
 use crate::chains::{ChainReport, ChainSpec};
@@ -149,11 +151,7 @@ impl ShardedInfless {
     ) -> (RunReport, Vec<DecisionRecord>) {
         let mut records = Vec::new();
         let report = self.run_inner(workload, shards, Some(&mut records));
-        records.sort_by(|a, b| {
-            let (ta, fa, sa) = a.sort_key();
-            let (tb, fb, sb) = b.sort_key();
-            ta.total_cmp(&tb).then(fa.cmp(&fb)).then(sa.cmp(&sb))
-        });
+        sort_decisions(&mut records);
         (report, records)
     }
 

@@ -374,6 +374,17 @@ impl DecisionRecord {
     }
 }
 
+/// Sorts records into their canonical [`DecisionRecord::sort_key`]
+/// total order — the order the sharded merge uses, so single-core and
+/// sharded traces are directly comparable.
+pub fn sort_decisions(records: &mut [DecisionRecord]) {
+    records.sort_by(|a, b| {
+        let (ta, fa, sa) = a.sort_key();
+        let (tb, fb, sb) = b.sort_key();
+        ta.total_cmp(&tb).then(fa.cmp(&fb)).then(sa.cmp(&sb))
+    });
+}
+
 /// Writes a complete decisions trace: the metadata record followed by
 /// every record, in slice order. The sharded runner sorts its merged
 /// buffer by [`DecisionRecord::sort_key`] first, which makes the file

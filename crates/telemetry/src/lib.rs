@@ -55,8 +55,8 @@ mod timeseries;
 
 pub use analyze::{analyze, analyze_file, DecisionAnalysis, FunctionAttribution, STAGES};
 pub use decision::{
-    write_decision_trace, BreakdownEvent, DecisionEvent, DecisionKind, DecisionReason,
-    DecisionRecord,
+    sort_decisions, write_decision_trace, BreakdownEvent, DecisionEvent, DecisionKind,
+    DecisionReason, DecisionRecord,
 };
 pub use flight::{
     FlightRecorder, FLIGHT_BURST_THRESHOLD, FLIGHT_BURST_WINDOW_S, FLIGHT_MAX_DUMPS,

@@ -38,27 +38,21 @@
 use std::fmt;
 use std::fs;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 use serde::Deserialize;
 
-use infless_baselines::{BatchPlatform, OpenFaasPlus};
+use infless_baselines::{execute, Deployment, ExecuteError, System};
 use infless_cluster::ClusterSpec;
 use infless_core::chains::ChainSpec;
 use infless_core::engine::FunctionInfo;
 use infless_core::metrics::RunReport;
-use infless_core::platform::{ColdStartConfig, InflessConfig, InflessPlatform, ScalePolicy};
+use infless_core::platform::{ColdStartConfig, InflessConfig, ScalePolicy};
 use infless_core::residency::ResidencyConfig;
 use infless_core::runconfig::RunConfig;
-use infless_core::ShardedInfless;
 use infless_faults::{FaultPlan, FaultSchedule};
 use infless_llm::{LlmClass, LlmConfig};
 use infless_models::ModelId;
 use infless_sim::SimDuration;
-use infless_telemetry::{
-    write_decision_trace, DecisionBufferSink, DecisionRecord, FlightRecorder, GaugeRow,
-    MetricsHandle, MetricsRegistry, SpanEvent, TelemetrySink, TraceMeta,
-};
 use infless_workload::{FunctionLoad, TracePattern, Workload};
 
 /// Which platform serves the scenario.
@@ -71,6 +65,17 @@ pub enum PlatformKind {
     Openfaas,
     /// The OTP batching baseline.
     Batch,
+}
+
+impl PlatformKind {
+    /// The system this platform name selects.
+    pub fn system(self) -> System {
+        match self {
+            PlatformKind::Infless => System::Infless,
+            PlatformKind::Openfaas => System::OpenFaasPlus,
+            PlatformKind::Batch => System::Batch,
+        }
+    }
 }
 
 /// Cluster shape (defaults to the Table 2 testbed).
@@ -237,6 +242,10 @@ pub struct Scenario {
     pub policy: ScalePolicy,
 }
 
+/// The most requests one function's load may offer: the simulator
+/// holds every arrival in memory (16 bytes each).
+const MAX_ARRIVALS_PER_FUNCTION: f64 = 1e8;
+
 fn default_seed() -> u64 {
     42
 }
@@ -248,111 +257,6 @@ struct ScenarioParts {
     chains: Vec<ChainSpec>,
     cluster: ClusterSpec,
     schedule: FaultSchedule,
-}
-
-/// Wraps a run's telemetry sink with a decisions tap: every decision
-/// record is buffered (for the `--decisions-out` artifact) *and*
-/// forwarded to the inner sink. The tap reports `decisions_enabled`
-/// itself but delegates `enabled` — wrapping a [`infless_telemetry::NullSink`]
-/// turns on decision emission without paying for span construction.
-#[derive(Debug)]
-struct DecisionTap {
-    inner: Box<dyn TelemetrySink>,
-    buf: DecisionBufferSink,
-    meta: Arc<Mutex<Option<TraceMeta>>>,
-}
-
-impl TelemetrySink for DecisionTap {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
-        *self.meta.lock().expect("trace meta poisoned") = Some(meta.clone());
-        self.inner.begin(meta);
-    }
-
-    fn record(&mut self, span: SpanEvent) {
-        self.inner.record(span);
-    }
-
-    fn sample(&mut self, row: &GaugeRow) {
-        self.inner.sample(row);
-    }
-
-    fn decisions_enabled(&self) -> bool {
-        true
-    }
-
-    fn record_decision(&mut self, rec: &DecisionRecord) {
-        self.buf.record_decision(rec);
-        self.inner.record_decision(rec);
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
-    }
-}
-
-/// Sorts decision records into their canonical `(t_s, function, seq)`
-/// total order — the order the sharded merge uses, so single-core and
-/// sharded artifacts are directly comparable.
-fn sort_decisions(records: &mut [DecisionRecord]) {
-    records.sort_by(|a, b| {
-        let (ta, fa, sa) = a.sort_key();
-        let (tb, fb, sb) = b.sort_key();
-        ta.total_cmp(&tb).then(fa.cmp(&fb)).then(sa.cmp(&sb))
-    });
-}
-
-/// Folds the finished report's totals into the metrics registry as
-/// counter families and writes the Prometheus text snapshot.
-fn export_metrics(
-    report: &RunReport,
-    handle: &MetricsHandle,
-    path: &Path,
-) -> Result<(), ScenarioError> {
-    let mut reg = handle.lock().expect("metrics registry poisoned");
-    for f in &report.functions {
-        let labels = [("function", f.name.as_str())];
-        reg.counter_add(
-            "infless_requests_completed_total",
-            "Requests completed.",
-            &labels,
-            f.completed as f64,
-        );
-        reg.counter_add(
-            "infless_requests_dropped_total",
-            "Requests dropped at the gateway.",
-            &labels,
-            f.dropped as f64,
-        );
-        reg.counter_add(
-            "infless_slo_violations_total",
-            "Completed requests that exceeded their latency SLO.",
-            &labels,
-            f.violations as f64,
-        );
-        reg.counter_add(
-            "infless_cold_requests_total",
-            "Completed requests that observed a cold start.",
-            &labels,
-            f.cold_requests as f64,
-        );
-    }
-    for (path_label, count) in [
-        ("cold", report.cold_launches),
-        ("pre_warmed", report.prewarmed_launches),
-        ("swap_in", report.swap_launches),
-    ] {
-        reg.counter_add(
-            "infless_launches_total",
-            "Instance launches by startup path.",
-            &[("path", path_label)],
-            count as f64,
-        );
-    }
-    reg.write_to(path).map_err(ScenarioError::Io)
 }
 
 /// Errors building or running a scenario.
@@ -392,6 +296,15 @@ impl From<std::io::Error> for ScenarioError {
     }
 }
 
+impl From<ExecuteError> for ScenarioError {
+    fn from(e: ExecuteError) -> Self {
+        match e {
+            ExecuteError::Invalid(m) => ScenarioError::Invalid(m),
+            ExecuteError::Io(e) => ScenarioError::Io(e),
+        }
+    }
+}
+
 impl From<serde_json::Error> for ScenarioError {
     fn from(e: serde_json::Error) -> Self {
         ScenarioError::Json(e)
@@ -422,18 +335,46 @@ impl Scenario {
     }
 
     fn validate(&self) -> Result<(), ScenarioError> {
+        let invalid = |m: String| Err(ScenarioError::Invalid(m));
         if self.functions.is_empty() {
-            return Err(ScenarioError::Invalid("no functions declared".into()));
+            return invalid("no functions declared".into());
+        }
+        let c = &self.cluster;
+        if c.servers == 0 || c.cores_per_server == 0 {
+            return invalid("the cluster needs at least one server with one core".into());
+        }
+        if !(c.mem_per_server_mb > 0.0 && c.mem_per_server_mb.is_finite()) {
+            return invalid("mem_per_server_mb must be positive".into());
         }
         for f in &self.functions {
             f.model
                 .parse::<ModelId>()
                 .map_err(|e| ScenarioError::Invalid(e.to_string()))?;
             if f.slo_ms == 0 {
-                return Err(ScenarioError::Invalid(format!(
-                    "function {:?} has a zero SLO",
-                    f.name
-                )));
+                return invalid(format!("function {:?} has a zero SLO", f.name));
+            }
+            if f.max_batch == Some(0) {
+                return invalid(format!("function {:?} has a zero max_batch", f.name));
+            }
+            if let LoadDescriptor::Constant { rps, duration_secs }
+            | LoadDescriptor::Trace {
+                mean_rps: rps,
+                duration_secs,
+                ..
+            } = &f.load
+            {
+                if !(rps.is_finite() && *rps >= 0.0) || *duration_secs == 0 {
+                    return invalid(format!(
+                        "function {:?} needs a finite, non-negative rate over a positive duration",
+                        f.name
+                    ));
+                }
+                if rps * *duration_secs as f64 > MAX_ARRIVALS_PER_FUNCTION {
+                    return invalid(format!(
+                        "function {:?} offers more than {MAX_ARRIVALS_PER_FUNCTION:e} requests",
+                        f.name
+                    ));
+                }
             }
             if let LoadDescriptor::Trace { pattern, .. } = &f.load {
                 parse_pattern(pattern)?;
@@ -464,18 +405,17 @@ impl Scenario {
         Ok(())
     }
 
-    /// Builds the function table, chains and workload, runs the chosen
-    /// platform to completion under `config`, and returns the report.
+    /// Builds the function table, chains and workload and runs the
+    /// chosen platform through [`infless_baselines::execute()`].
     ///
     /// The [`RunConfig`] carries everything that varies a run of the
     /// same descriptor: shard count (an explicit count — even 1 —
-    /// drives the INFless platform through the epoch-barrier
-    /// [`ShardedInfless`] engine, byte-identically for every shard
-    /// count), a telemetry sink
-    /// (attaching [`infless_telemetry::NullSink`] is bit-identical to
-    /// attaching none), an explicit fault schedule (overrides the
-    /// descriptor's `faults` plan when set), and a residency override
-    /// (overrides the descriptor's `residency` block when set).
+    /// drives the INFless platform through the epoch-barrier sharded
+    /// engine, byte-identically for every shard count), a telemetry
+    /// sink (attaching [`infless_telemetry::NullSink`] is bit-identical
+    /// to attaching none), an explicit fault schedule (overrides the
+    /// descriptor's `faults` plan when set), and residency, LLM and
+    /// scale-policy overrides (each beats the descriptor's own block).
     ///
     /// # Errors
     ///
@@ -485,158 +425,28 @@ impl Scenario {
     /// run for a baseline platform (only the INFless engine is
     /// sharded).
     pub fn execute(&self, config: RunConfig) -> Result<RunReport, ScenarioError> {
-        config
-            .validate()
-            .map_err(|e| ScenarioError::Invalid(e.to_string()))?;
-        let sharded = config.is_sharded().then(|| config.effective_shards());
         let llm = config.llm.unwrap_or(self.llm);
-        let mut parts = self.build_parts(llm)?;
-        if let Some(schedule) = config.fault_schedule {
-            parts.schedule = schedule;
-        }
-        let decisions_out = config.decisions_out;
-        let metrics_out = config.metrics_out;
-        let flight_out = config.flight_out;
-        let metrics = metrics_out.as_ref().map(|_| MetricsRegistry::handle());
-        let policy = config.scale_policy.unwrap_or(self.policy);
-        let infless_config = self.infless_config(config.residency, llm, policy);
-
-        if let Some(shards) = sharded {
-            if self.platform != PlatformKind::Infless {
-                return Err(ScenarioError::Invalid(
-                    "sharded execution requires the INFless platform".into(),
-                ));
-            }
-            let meta = TraceMeta {
-                platform: "INFless".to_string(),
-                functions: parts
-                    .functions
-                    .iter()
-                    .map(|f| f.spec().name().to_string())
-                    .collect(),
-            };
-            let mut runner = ShardedInfless::with_chains(
-                parts.cluster,
-                parts.functions,
-                parts.chains,
-                infless_config,
-                self.seed,
-            )
-            .with_fault_schedule(parts.schedule);
-            if let Some(handle) = &metrics {
-                runner = runner.with_metrics(handle.clone());
-            }
-            let report = match &decisions_out {
-                Some(path) => {
-                    let (report, records) = runner.run_with_decisions(&parts.workload, shards);
-                    write_decision_trace(path, &meta, &records)?;
-                    report
-                }
-                None => runner.run(&parts.workload, shards),
-            };
-            if let (Some(handle), Some(path)) = (&metrics, &metrics_out) {
-                export_metrics(&report, handle, path)?;
-            }
-            return Ok(report);
-        }
-
-        let inner = config
-            .telemetry
-            .unwrap_or_else(|| Box::new(infless_telemetry::NullSink));
-        // The decisions tap buffers every record alongside whatever the
-        // user's sink does with them, so the JSONL artifact can be
-        // written in canonical sort order at the end of the run.
-        let tap = decisions_out.as_ref().map(|_| {
-            (
-                DecisionBufferSink::new(),
-                Arc::new(Mutex::new(None::<TraceMeta>)),
-            )
-        });
-        let sink: Box<dyn TelemetrySink> = match &tap {
-            Some((buf, meta)) => Box::new(DecisionTap {
-                inner,
-                buf: buf.clone(),
-                meta: meta.clone(),
-            }),
-            None => inner,
+        let parts = self.build_parts(llm)?;
+        let deployment = Deployment {
+            cluster: parts.cluster,
+            functions: parts.functions,
+            chains: parts.chains,
+            workload: &parts.workload,
+            seed: self.seed,
+            infless: InflessConfig {
+                coldstart: ColdStartConfig::Lsth { gamma: 0.5 },
+                residency: self.residency,
+                llm,
+                scale_policy: self.policy,
+                ..InflessConfig::default()
+            },
         };
-        // The flight recorder wraps outermost so its ring sees every
-        // span, whatever the user sink keeps.
-        let sink: Box<dyn TelemetrySink> = match &flight_out {
-            Some(path) => Box::new(FlightRecorder::new(sink, path.clone())),
-            None => sink,
+        let config = if config.fault_schedule.is_some() {
+            config
+        } else {
+            config.fault_schedule(parts.schedule)
         };
-
-        let report = match self.platform {
-            PlatformKind::Infless => {
-                let mut platform = InflessPlatform::with_chains(
-                    parts.cluster,
-                    parts.functions,
-                    parts.chains,
-                    infless_config,
-                    self.seed,
-                )
-                .with_fault_schedule(parts.schedule)
-                .with_telemetry(sink);
-                if let Some(handle) = &metrics {
-                    platform = platform.with_metrics(handle.clone());
-                }
-                platform.run(&parts.workload)
-            }
-            PlatformKind::Openfaas => {
-                let mut platform = OpenFaasPlus::new(parts.cluster, parts.functions, self.seed)
-                    .with_fault_schedule(parts.schedule)
-                    .with_telemetry(sink)
-                    .with_llm(llm);
-                if let Some(handle) = &metrics {
-                    platform = platform.with_metrics(handle.clone());
-                }
-                platform.run(&parts.workload)
-            }
-            PlatformKind::Batch => {
-                let mut platform = BatchPlatform::new(parts.cluster, parts.functions, self.seed)
-                    .with_fault_schedule(parts.schedule)
-                    .with_telemetry(sink)
-                    .with_llm(llm);
-                if let Some(handle) = &metrics {
-                    platform = platform.with_metrics(handle.clone());
-                }
-                platform.run(&parts.workload)
-            }
-        };
-        if let (Some((buf, meta)), Some(path)) = (&tap, &decisions_out) {
-            let mut records = buf.drain();
-            sort_decisions(&mut records);
-            let meta = meta
-                .lock()
-                .expect("trace meta poisoned")
-                .take()
-                .expect("set_telemetry announces the run before it starts");
-            write_decision_trace(path, &meta, &records)?;
-        }
-        if let (Some(handle), Some(path)) = (&metrics, &metrics_out) {
-            export_metrics(&report, handle, path)?;
-        }
-        Ok(report)
-    }
-
-    /// The INFless configuration every scenario run uses (LSTH
-    /// keep-alive, the descriptor's residency block unless overridden
-    /// by the run config) — shared by the single-core and sharded
-    /// paths so their reports stay comparable.
-    fn infless_config(
-        &self,
-        residency_override: Option<ResidencyConfig>,
-        llm: LlmConfig,
-        policy: ScalePolicy,
-    ) -> InflessConfig {
-        InflessConfig {
-            coldstart: ColdStartConfig::Lsth { gamma: 0.5 },
-            residency: residency_override.unwrap_or(self.residency),
-            llm,
-            scale_policy: policy,
-            ..InflessConfig::default()
-        }
+        Ok(execute(self.platform.system(), deployment, config)?)
     }
 
     /// Builds everything a platform needs from the descriptor: the
@@ -822,6 +632,61 @@ mod tests {
             "\"platform\": \"infless\", \"turbo\": true,",
         );
         assert!(Scenario::from_json(&with_extra).is_err());
+    }
+
+    /// Every malformed numeric field is an `Invalid` error, never a
+    /// panic or a silent all-violations run.
+    fn assert_invalid(json: &str, needle: &str) {
+        match Scenario::from_json(json) {
+            Err(ScenarioError::Invalid(m)) => assert!(m.contains(needle), "{m}"),
+            other => panic!("expected an Invalid error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_negative_rate() {
+        assert_invalid(&MINIMAL.replace("15.0", "-1.0"), "non-negative rate");
+    }
+
+    #[test]
+    fn rejects_zero_max_batch() {
+        let json = MINIMAL.replace("\"slo_ms\": 100,", "\"slo_ms\": 100, \"max_batch\": 0,");
+        assert_invalid(&json, "zero max_batch");
+    }
+
+    #[test]
+    fn rejects_zero_cores_per_server() {
+        let json = MINIMAL.replace("\"servers\": 2", "\"servers\": 2, \"cores_per_server\": 0");
+        assert_invalid(&json, "one core");
+    }
+
+    #[test]
+    fn rejects_unallocatable_rate() {
+        let json = MINIMAL.replace(
+            "\"kind\": \"constant\", \"rps\": 15.0",
+            "\"kind\": \"trace\", \"pattern\": \"bursty\", \"mean_rps\": 1e300",
+        );
+        assert_invalid(&json, "more than");
+    }
+
+    #[test]
+    fn rejects_zero_duration() {
+        let json = MINIMAL.replace("\"duration_secs\": 10", "\"duration_secs\": 0");
+        assert_invalid(&json, "positive duration");
+    }
+
+    #[test]
+    fn rejects_zero_memory() {
+        let json = MINIMAL.replace("\"servers\": 2", "\"servers\": 2, \"mem_per_server_mb\": 0");
+        assert_invalid(&json, "mem_per_server_mb");
+    }
+
+    #[test]
+    fn rejects_zero_servers() {
+        assert_invalid(
+            &MINIMAL.replace("\"servers\": 2", "\"servers\": 0"),
+            "one server",
+        );
     }
 
     #[test]
