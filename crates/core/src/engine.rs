@@ -194,6 +194,13 @@ pub struct Engine {
     next_instance: u64,
     next_request: u64,
     noise: NoiseRng,
+    /// Deterministic ground-truth execution seconds of a one-shot
+    /// batch, keyed by `(function, formed batch length, resources)` and
+    /// filled on first use. The hardware model and function table are
+    /// fixed for the engine's life, so an entry never goes stale, and a
+    /// run touches only the few keys its configurations can form.
+    /// [`Self::batch_exec`] multiplies an entry by a fresh noise draw.
+    base_exec_s: HashMap<(usize, u32, ResourceConfig), f64>,
     /// Autoregressive decode-batching discipline (LLM functions only;
     /// one-shot functions never consult it).
     llm_batching: LlmBatching,
@@ -392,6 +399,16 @@ enum NoiseRng {
     PerFunction(Vec<StdRng>),
 }
 
+impl NoiseRng {
+    /// The stream `function`'s next noise draw comes from.
+    fn stream(&mut self, function: usize) -> &mut StdRng {
+        match self {
+            NoiseRng::Shared(rng) => rng,
+            NoiseRng::PerFunction(streams) => &mut streams[function],
+        }
+    }
+}
+
 impl Engine {
     /// Builds an engine: cluster from `spec`, given hardware model and
     /// function table; `seed` drives execution-time noise.
@@ -430,6 +447,7 @@ impl Engine {
                 seed,
                 &format!("engine/{platform_name}"),
             )),
+            base_exec_s: HashMap::new(),
             llm_batching: LlmBatching::Static,
             llm_episodes: HashMap::new(),
             token_table: HashMap::new(),
@@ -1869,14 +1887,7 @@ impl Engine {
         let placement = inst.placement();
         let len = (inst.queue_len()).min(config.batch() as usize) as u32;
         debug_assert!(len >= 1);
-        let spec = self.functions[function].spec();
-        let rng = match &mut self.noise {
-            NoiseRng::Shared(rng) => rng,
-            NoiseRng::PerFunction(streams) => &mut streams[function],
-        };
-        let mut exec = self
-            .hardware
-            .model_latency_noisy(spec, len, config.resources(), rng);
+        let mut exec = self.batch_exec(function, len, config.resources());
         // Pre-interference estimate: the decomposition's
         // execution/interference boundary.
         let exec_base = exec;
@@ -1932,6 +1943,20 @@ impl Engine {
         });
         self.in_flight_count += 1;
         queue.schedule(until, EngineEvent::BatchComplete(id));
+    }
+
+    /// Noisy execution time of a `len`-request batch of `function` on
+    /// `resources`: the memoised deterministic base times one noise
+    /// draw from the function's stream. A memo hit and a miss draw the
+    /// same single factor, so the noise stream advances exactly as if
+    /// the base were recomputed on every batch.
+    fn batch_exec(&mut self, function: usize, len: u32, resources: ResourceConfig) -> SimDuration {
+        let (hardware, spec) = (&self.hardware, self.functions[function].spec());
+        let base = *self
+            .base_exec_s
+            .entry((function, len, resources))
+            .or_insert_with(|| hardware.model_latency_s(spec, len, resources));
+        SimDuration::from_secs_f64(base * self.hardware.noise_factor(self.noise.stream(function)))
     }
 
     /// Starts an autoregressive episode on `id`: admits queued
@@ -2007,11 +2032,7 @@ impl Engine {
         let prefill_tokens: u64 = infos.iter().map(|i| u64::from(i.prompt)).sum();
         // Episode-scoped slowdown: one noise draw plus the start-time
         // interference and straggler factors, applied to every phase.
-        let rng = match &mut self.noise {
-            NoiseRng::Shared(rng) => rng,
-            NoiseRng::PerFunction(streams) => &mut streams[function],
-        };
-        let mut slow = self.hardware.noise_factor(rng);
+        let mut slow = self.hardware.noise_factor(self.noise.stream(function));
         let mut interf = 1.0;
         if let Some(gpu) = placement.gpu_index() {
             let device = self.device_index(placement.server(), gpu);
@@ -2356,32 +2377,40 @@ mod tests {
 
     /// Drains engine-handled events, returning completed request counts.
     fn drain(engine: &mut Engine, queue: &mut EventQueue<EngineEvent>) {
-        while let Some((t, ev)) = queue.pop() {
-            engine.advance(t);
-            match ev {
-                EngineEvent::InstanceReady(id) => engine.on_instance_ready(id, queue),
-                EngineEvent::SwapComplete(id) => engine.on_swap_complete(id, queue),
-                EngineEvent::BatchTimeout(id) => engine.on_batch_timeout(id, queue),
-                EngineEvent::BatchComplete(id) => {
-                    // Faults can kill an instance mid-batch; its
-                    // completion event is then stale.
-                    if engine.is_live(id) {
-                        engine.on_batch_complete(id, queue);
-                    }
+        while step(engine, queue) {}
+    }
+
+    /// Delivers the next engine-handled event; `false` once the queue
+    /// is empty.
+    fn step(engine: &mut Engine, queue: &mut EventQueue<EngineEvent>) -> bool {
+        let Some((t, ev)) = queue.pop() else {
+            return false;
+        };
+        engine.advance(t);
+        match ev {
+            EngineEvent::InstanceReady(id) => engine.on_instance_ready(id, queue),
+            EngineEvent::SwapComplete(id) => engine.on_swap_complete(id, queue),
+            EngineEvent::BatchTimeout(id) => engine.on_batch_timeout(id, queue),
+            EngineEvent::BatchComplete(id) => {
+                // Faults can kill an instance mid-batch; its
+                // completion event is then stale.
+                if engine.is_live(id) {
+                    engine.on_batch_complete(id, queue);
                 }
-                EngineEvent::DecodeStep(id) => {
-                    engine.on_decode_step(id, queue);
-                }
-                EngineEvent::Fault(f) => {
-                    engine.on_fault(f);
-                }
-                EngineEvent::ResizeComplete(id) => {
-                    engine.on_resize_complete(id, queue);
-                }
-                EngineEvent::Arrival(_) | EngineEvent::ScalerTick => {}
-                EngineEvent::DirectiveKill(..) | EngineEvent::DirectiveStraggler { .. } => {}
             }
+            EngineEvent::DecodeStep(id) => {
+                engine.on_decode_step(id, queue);
+            }
+            EngineEvent::Fault(f) => {
+                engine.on_fault(f);
+            }
+            EngineEvent::ResizeComplete(id) => {
+                engine.on_resize_complete(id, queue);
+            }
+            EngineEvent::Arrival(_) | EngineEvent::ScalerTick => {}
+            EngineEvent::DirectiveKill(..) | EngineEvent::DirectiveStraggler { .. } => {}
         }
+        true
     }
 
     #[test]
@@ -3054,6 +3083,146 @@ mod tests {
     // --- autoregressive (LLM) episodes -------------------------------
 
     use infless_llm::{LlmBatching, LlmClass};
+
+    /// The execution time the pre-memo engine computed: the full
+    /// ground-truth DAG walk times one noise draw.
+    fn unmemoised_exec(
+        engine: &Engine,
+        function: usize,
+        len: u32,
+        resources: ResourceConfig,
+        rng: &mut StdRng,
+    ) -> SimDuration {
+        let spec = engine.functions[function].spec();
+        let base = engine.hardware.model_latency_s(spec, len, resources);
+        SimDuration::from_secs_f64(base * engine.hardware.noise_factor(rng))
+    }
+
+    /// Steps events until `id` has a batch in flight.
+    fn step_until_started(
+        engine: &mut Engine,
+        queue: &mut EventQueue<EngineEvent>,
+        id: InstanceId,
+    ) {
+        while engine.slot(id).in_flight.is_none() {
+            assert!(step(engine, queue), "the batch never started");
+        }
+    }
+
+    #[test]
+    fn memo_hit_and_miss_match_the_unmemoised_exec() {
+        let (mut engine, _) = engine();
+        let res = ResourceConfig::new(1, 10);
+        let mut rng = engine.noise.stream(0).clone();
+        // Miss, hit, miss on another length, hit again.
+        for len in [3, 3, 5, 3] {
+            let want = unmemoised_exec(&engine, 0, len, res, &mut rng);
+            assert_eq!(engine.batch_exec(0, len, res), want, "len {len}");
+        }
+        assert_eq!(engine.base_exec_s.len(), 2);
+        // The streams stayed in step: the next draws agree too.
+        assert_eq!(
+            engine.hardware.noise_factor(&mut rng),
+            engine.hardware.noise_factor(engine.noise.stream(0))
+        );
+    }
+
+    #[test]
+    fn partial_batch_keys_the_memo_on_its_length() {
+        let (mut engine, mut queue) = engine();
+        let id = engine
+            .launch_anywhere(
+                0,
+                cfg(),
+                StartupKind::PreWarmed,
+                SimDuration::from_millis(30),
+                &mut queue,
+            )
+            .unwrap();
+        drain(&mut engine, &mut queue);
+        let mut rng = engine.noise.stream(0).clone();
+        for _ in 0..3 {
+            let req = engine.mint_request(0);
+            assert!(engine.enqueue(id, req, &mut queue));
+        }
+        step_until_started(&mut engine, &mut queue, id);
+        let res = cfg().resources();
+        let in_flight = engine.slot(id).in_flight.as_ref().unwrap();
+        assert_eq!(in_flight.batch.len(), 3);
+        assert_eq!(
+            in_flight.exec_base,
+            unmemoised_exec(&engine, 0, 3, res, &mut rng)
+        );
+        assert!(engine.base_exec_s.contains_key(&(0, 3, res)));
+        assert!(!engine.base_exec_s.contains_key(&(0, cfg().batch(), res)));
+    }
+
+    #[test]
+    fn batch_after_a_resize_uses_the_new_configs_entry() {
+        let (mut engine, mut queue) = engine();
+        let budget = SimDuration::from_millis(30);
+        let id = engine
+            .launch_anywhere(0, cfg(), StartupKind::PreWarmed, budget, &mut queue)
+            .unwrap();
+        drain(&mut engine, &mut queue);
+        let old = cfg().resources();
+        let new_res = ResourceConfig::new(2, 20);
+        let new_cfg = InstanceConfig::new(4, new_res);
+        let placement = engine.instance(id).placement();
+        let new_placement = engine
+            .cluster_mut()
+            .try_resize(placement, old, new_res, 0.0)
+            .unwrap();
+        engine.begin_resize(id, new_cfg, new_placement, budget, &mut queue);
+        drain(&mut engine, &mut queue);
+        assert_eq!(engine.instance(id).config(), new_cfg);
+        let mut rng = engine.noise.stream(0).clone();
+        for _ in 0..4 {
+            let req = engine.mint_request(0);
+            assert!(engine.enqueue(id, req, &mut queue));
+        }
+        step_until_started(&mut engine, &mut queue, id);
+        let in_flight = engine.slot(id).in_flight.as_ref().unwrap();
+        assert_eq!(in_flight.config, new_cfg);
+        assert_eq!(
+            in_flight.exec_base,
+            unmemoised_exec(&engine, 0, 4, new_res, &mut rng)
+        );
+        assert!(engine.base_exec_s.contains_key(&(0, 4, new_res)));
+        assert!(!engine.base_exec_s.contains_key(&(0, 4, old)));
+    }
+
+    #[test]
+    fn per_function_noise_streams_stay_aligned() {
+        let functions = vec![
+            FunctionInfo::new(ModelId::MobileNet.spec(), SimDuration::from_millis(50)),
+            FunctionInfo::new(ModelId::ResNet50.spec(), SimDuration::from_millis(200)),
+        ];
+        let mut engine = Engine::new(
+            "test",
+            ClusterSpec::testbed(),
+            HardwareModel::default(),
+            functions,
+            1,
+        );
+        engine.use_per_function_noise(7);
+        let res = ResourceConfig::new(2, 20);
+        let mut rngs = [
+            engine.noise.stream(0).clone(),
+            engine.noise.stream(1).clone(),
+        ];
+        // Interleaved misses and hits: each function draws only from
+        // its own stream.
+        for (function, len) in [(0, 2), (1, 2), (1, 2), (0, 2), (0, 1), (1, 4)] {
+            let want = unmemoised_exec(&engine, function, len, res, &mut rngs[function]);
+            assert_eq!(
+                engine.batch_exec(function, len, res),
+                want,
+                "fn {function} len {len}"
+            );
+        }
+        assert_eq!(engine.base_exec_s.len(), 4);
+    }
 
     fn llm_engine(class: LlmClass, batching: LlmBatching) -> (Engine, EventQueue<EngineEvent>) {
         let functions = vec![

@@ -164,17 +164,13 @@ impl ShardedInfless {
         let s_count = shards.max(1);
         let (owner_of_fn, owned_by_shard) = self.partition(s_count);
 
-        // Per-shard arrival slices: each shard stages only the arrivals
-        // of functions it owns, preserving global order within a shard.
-        let per_shard_arrivals: Vec<Vec<(SimTime, usize)>> = (0..s_count)
-            .map(|s| {
-                workload
-                    .arrivals()
-                    .iter()
-                    .filter(|(_, f)| owner_of_fn[*f] == s)
-                    .copied()
-                    .collect()
-            })
+        // Each shard walks the one workload-wide arrival list in place
+        // and skips the arrivals of functions it does not own, which
+        // preserves global order within a shard without a per-shard
+        // copy of the list.
+        let owner = &owner_of_fn;
+        let owns: Vec<_> = (0..s_count)
+            .map(|s| move |f: &usize| owner[*f] == s)
             .collect();
 
         let mut shards_v: Vec<Shard<'_>> = (0..s_count)
@@ -194,7 +190,7 @@ impl ShardedInfless {
                 Shard {
                     platform,
                     queue: EventQueue::new(),
-                    stream: StagedStream::new(&per_shard_arrivals[s]),
+                    stream: StagedStream::filtered(workload.arrivals(), &owns[s]),
                     owned: owned_by_shard[s].clone(),
                 }
             })

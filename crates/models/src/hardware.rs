@@ -262,8 +262,8 @@ impl HardwareModel {
 
     /// Ground-truth latency of a whole model batch: DAG critical path
     /// plus branch contention, framework overhead, preprocessing and
-    /// (for GPU configs) PCIe transfer. Deterministic; see
-    /// [`Self::model_latency_noisy`] for the per-invocation jitter.
+    /// (for GPU configs) PCIe transfer. Deterministic; multiply by a
+    /// [`Self::noise_factor`] draw for the per-invocation jitter.
     ///
     /// # Panics
     ///
@@ -289,24 +289,12 @@ impl HardwareModel {
         total
     }
 
-    /// Ground-truth latency with per-invocation log-normal jitter, the
-    /// irreducible measurement noise a real testbed exhibits.
-    pub fn model_latency_noisy<R: Rng + ?Sized>(
-        &self,
-        spec: &ModelSpec,
-        batch: u32,
-        cfg: ResourceConfig,
-        rng: &mut R,
-    ) -> SimDuration {
-        let base = self.model_latency_s(spec, batch, cfg);
-        let factor = lognormal_factor(rng, self.calibration.noise_sigma);
-        SimDuration::from_secs_f64(base * factor)
-    }
-
     /// One log-normal noise factor draw (median 1, the calibration's
-    /// sigma) — the same jitter [`Self::model_latency_noisy`] applies.
-    /// Autoregressive episodes draw one factor at prefill and apply it
-    /// to every phase, so noise cannot re-order decode steps.
+    /// sigma): the irreducible per-invocation jitter a real testbed
+    /// exhibits, and the only noise entry point. A one-shot batch runs
+    /// for [`Self::model_latency_s`] times one draw. Autoregressive
+    /// episodes draw one factor at prefill and apply it to every
+    /// phase, so noise cannot re-order decode steps.
     pub fn noise_factor<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         lognormal_factor(rng, self.calibration.noise_sigma)
     }
@@ -626,13 +614,10 @@ mod tests {
     #[test]
     fn noise_is_reproducible_and_small() {
         let hw = hw();
-        let spec = ModelId::Ssd.spec();
-        let cfg = ResourceConfig::new(2, 10);
-        let a = hw.model_latency_noisy(&spec, 4, cfg, &mut stream(9, "x"));
-        let b = hw.model_latency_noisy(&spec, 4, cfg, &mut stream(9, "x"));
+        let a = hw.noise_factor(&mut stream(9, "x"));
+        let b = hw.noise_factor(&mut stream(9, "x"));
         assert_eq!(a, b);
-        let base = hw.model_latency(&spec, 4, cfg).as_secs_f64();
-        assert!((a.as_secs_f64() / base - 1.0).abs() < 0.25);
+        assert!((a - 1.0).abs() < 0.25);
     }
 
     proptest! {

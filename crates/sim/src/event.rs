@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 use crate::SimTime;
 
@@ -175,10 +176,24 @@ impl<E> Default for EventQueue<E> {
 /// let (_, first) = staged.next(&mut q, |f| if f == 0 { "a0" } else { "a1" }).unwrap();
 /// assert_eq!(first, "a0");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct StagedStream<'a, P> {
     staged: &'a [(SimTime, P)],
+    /// Index of the next entry to deliver. With a `keep` filter it
+    /// always rests on a kept entry (or the end), so peeking needs no
+    /// scan.
     cursor: usize,
+    keep: Option<&'a (dyn Fn(&P) -> bool + Sync)>,
+}
+
+impl<P> fmt::Debug for StagedStream<'_, P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StagedStream")
+            .field("len", &self.staged.len())
+            .field("cursor", &self.cursor)
+            .field("filtered", &self.keep.is_some())
+            .finish()
+    }
 }
 
 impl<'a, P: Copy> StagedStream<'a, P> {
@@ -192,7 +207,31 @@ impl<'a, P: Copy> StagedStream<'a, P> {
             staged.windows(2).all(|w| w[0].0 <= w[1].0),
             "staged events must be time-sorted"
         );
-        StagedStream { staged, cursor: 0 }
+        StagedStream {
+            staged,
+            cursor: 0,
+            keep: None,
+        }
+    }
+
+    /// Like [`new`](Self::new), but delivers only the entries whose
+    /// payload passes `keep`, skipping the rest in place. The sharded
+    /// runner gives every shard a view of the one workload-wide
+    /// arrival list this way instead of a filtered copy of it.
+    pub fn filtered(staged: &'a [(SimTime, P)], keep: &'a (dyn Fn(&P) -> bool + Sync)) -> Self {
+        let mut stream = Self::new(staged);
+        stream.keep = Some(keep);
+        stream.skip_unkept();
+        stream
+    }
+
+    /// Moves the cursor past entries the filter rejects.
+    fn skip_unkept(&mut self) {
+        if let Some(keep) = self.keep {
+            while self.staged.get(self.cursor).is_some_and(|(_, p)| !keep(p)) {
+                self.cursor += 1;
+            }
+        }
     }
 
     /// Pops the earliest event across the staged slice and the queue,
@@ -206,6 +245,7 @@ impl<'a, P: Copy> StagedStream<'a, P> {
         match self.staged.get(self.cursor) {
             Some(&(t, p)) if queue.peek_time().is_none_or(|h| t <= h) => {
                 self.cursor += 1;
+                self.skip_unkept();
                 Some((t, wrap(p)))
             }
             _ => queue.pop(),
@@ -247,7 +287,11 @@ impl<'a, P: Copy> StagedStream<'a, P> {
 
     /// Number of staged entries not yet delivered.
     pub fn remaining(&self) -> usize {
-        self.staged.len() - self.cursor
+        let rest = &self.staged[self.cursor..];
+        match self.keep {
+            Some(keep) => rest.iter().filter(|(_, p)| keep(p)).count(),
+            None => rest.len(),
+        }
     }
 }
 
@@ -386,6 +430,36 @@ mod tests {
             Some((SimTime::from_millis(9), 2))
         );
         assert_eq!(staged.next(&mut q, |p| p), None);
+    }
+
+    /// A filtered stream delivers exactly the kept entries, in order,
+    /// and peeks past the skipped ones.
+    #[test]
+    fn filtered_stream_skips_unkept_entries_in_place() {
+        let arrivals = [
+            (SimTime::from_millis(1), 1usize),
+            (SimTime::from_millis(2), 0),
+            (SimTime::from_millis(3), 1),
+            (SimTime::from_millis(3), 0),
+            (SimTime::from_millis(6), 1),
+        ];
+        let even = |p: &usize| p.is_multiple_of(2);
+        let mut staged = StagedStream::filtered(&arrivals, &even);
+        let mut q: EventQueue<usize> = EventQueue::new();
+        assert_eq!(staged.remaining(), 2);
+        assert_eq!(staged.peek_time(&q), Some(SimTime::from_millis(2)));
+        q.schedule(SimTime::from_millis(3), 9);
+        let drained: Vec<_> = std::iter::from_fn(|| staged.next(&mut q, |p| p)).collect();
+        assert_eq!(
+            drained,
+            vec![
+                (SimTime::from_millis(2), 0),
+                (SimTime::from_millis(3), 0),
+                (SimTime::from_millis(3), 9),
+            ]
+        );
+        assert_eq!(staged.remaining(), 0);
+        assert_eq!(staged.peek_time(&q), None);
     }
 
     /// `peek_time` reports the merged head without consuming it.

@@ -177,7 +177,8 @@ fn main() -> ExitCode {
             } else if json {
                 print_json(&report);
             } else {
-                print_table(&report);
+                let names: Vec<&str> = scenario.functions.iter().map(|f| f.name.as_str()).collect();
+                print_table(&report, &names);
             }
             ExitCode::SUCCESS
         }
@@ -243,7 +244,10 @@ fn usage(problem: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn print_table(report: &RunReport) {
+/// Prints the human-readable report. `names` are the descriptor's
+/// function names, in report order: the report itself knows functions
+/// only by model, which two functions may share.
+fn print_table(report: &RunReport, names: &[&str]) {
     println!(
         "{} served {} requests over {} ({} dropped, {:.2}% SLO violations)",
         report.platform,
@@ -308,12 +312,13 @@ fn print_table(report: &RunReport) {
     }
     println!();
     println!(
-        "{:<14} {:>10} {:>9} {:>9} {:>9} {:>9}",
-        "function", "completed", "p50 ms", "p99 ms", "viol %", "cold %"
+        "{:<14} {:<14} {:>10} {:>9} {:>9} {:>9} {:>9}",
+        "function", "model", "completed", "p50 ms", "p99 ms", "viol %", "cold %"
     );
-    for f in &report.functions {
+    for (f, name) in report.functions.iter().zip(names) {
         println!(
-            "{:<14} {:>10} {:>9.1} {:>9.1} {:>9.2} {:>9.2}",
+            "{:<14} {:<14} {:>10} {:>9.1} {:>9.1} {:>9.2} {:>9.2}",
+            name,
             f.name,
             f.completed,
             f.latency_p50_ms,

@@ -550,7 +550,17 @@ impl Scenario {
                 let row = rows.iter().find(|r| r.name() == function).ok_or_else(|| {
                     ScenarioError::Invalid(format!("trace {path:?} has no row named {function:?}"))
                 })?;
-                Ok(row.to_load())
+                // The same volume cap `validate` puts on rate loads; a
+                // trace's volume is only known once its row is read.
+                let series = row.to_series();
+                if series.expected_requests() > MAX_ARRIVALS_PER_FUNCTION {
+                    return Err(ScenarioError::Invalid(format!(
+                        "function {:?} offers more than {MAX_ARRIVALS_PER_FUNCTION:e} requests \
+                         (trace {path:?}, row {function:?})",
+                        f.name
+                    )));
+                }
+                Ok(FunctionLoad::poisson(series))
             }
             LoadDescriptor::None => Ok(FunctionLoad::explicit(Vec::new())),
         }
@@ -871,5 +881,37 @@ mod tests {
         // ~10 rps over 5 minutes.
         let total = report.total_completed() + report.total_dropped();
         assert!((2000..4500).contains(&(total as usize)), "total {total}");
+    }
+
+    /// A trace row past the volume cap is an error, not an abort in
+    /// the arrival generator's allocation.
+    #[test]
+    fn csv_load_over_the_volume_cap_is_rejected() {
+        let dir = std::env::temp_dir().join("infless-descriptor-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("huge-{}.csv", std::process::id()));
+        let rows = vec![infless_workload::TraceRow::new(
+            "huge",
+            vec![1_000_000_000_000],
+        )];
+        let mut buf = Vec::new();
+        infless_workload::write_csv(&rows, &mut buf).unwrap();
+        std::fs::write(&path, buf).unwrap();
+
+        let json = format!(
+            r#"{{
+                "platform": "infless",
+                "cluster": {{ "servers": 2 }},
+                "functions": [
+                    {{ "name": "f", "model": "MNIST", "slo_ms": 50,
+                       "load": {{ "kind": "csv", "path": {path:?}, "function": "huge" }} }}
+                ]
+            }}"#
+        );
+        let scenario = Scenario::from_json(&json).unwrap();
+        let err = scenario.execute(RunConfig::new()).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("more than"), "{err}");
     }
 }

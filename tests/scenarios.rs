@@ -21,6 +21,36 @@ fn shipped_scenarios_parse_and_validate() {
     );
 }
 
+/// INFless on the faulted sweep and on the LLM mix must reproduce the
+/// canonical reports pinned before the engine memoised ground-truth
+/// batch latency, byte for byte. The sweep covers faults, stragglers
+/// and retries; the mix covers LLM episodes next to one-shot batches.
+#[test]
+fn shipped_scenarios_match_their_pins() {
+    let pins = [
+        (
+            "failure_sweep",
+            include_str!("fixtures/failure_sweep_pin.canonical.json"),
+        ),
+        (
+            "llm_chat_mix",
+            include_str!("fixtures/llm_chat_mix_pin.canonical.json"),
+        ),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    for (name, pinned) in pins {
+        let report = Scenario::from_file(dir.join(format!("{name}.json")))
+            .expect("shipped scenario parses")
+            .execute(RunConfig::new())
+            .expect("runs");
+        assert_eq!(
+            report.canonical_json(),
+            pinned.trim_end_matches('\n'),
+            "{name} no longer matches its pinned report byte for byte"
+        );
+    }
+}
+
 #[test]
 fn same_descriptor_runs_on_every_platform() {
     let template = |platform: &str| {
