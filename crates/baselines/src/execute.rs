@@ -8,7 +8,7 @@
 //! and metrics artifacts.
 
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use infless_cluster::ClusterSpec;
 use infless_core::chains::ChainSpec;
@@ -137,24 +137,42 @@ pub struct Deployment<'a> {
 pub enum ExecuteError {
     /// The run config or deployment is invalid for this system.
     Invalid(String),
-    /// An output artifact could not be written.
-    Io(std::io::Error),
+    /// The output artifact at `path` could not be written.
+    Output {
+        /// The artifact's path.
+        path: PathBuf,
+        /// Why the write failed.
+        source: std::io::Error,
+    },
+}
+
+impl ExecuteError {
+    /// Maps a write failure on `path` to [`ExecuteError::Output`].
+    fn output(path: &Path) -> impl FnOnce(std::io::Error) -> ExecuteError + '_ {
+        move |source| ExecuteError::Output {
+            path: path.to_path_buf(),
+            source,
+        }
+    }
 }
 
 impl fmt::Display for ExecuteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecuteError::Invalid(m) => f.write_str(m),
-            ExecuteError::Io(e) => write!(f, "{e}"),
+            ExecuteError::Output { path, source } => {
+                write!(f, "failed to write {}: {source}", path.display())
+            }
         }
     }
 }
 
-impl std::error::Error for ExecuteError {}
-
-impl From<std::io::Error> for ExecuteError {
-    fn from(e: std::io::Error) -> Self {
-        ExecuteError::Io(e)
+impl std::error::Error for ExecuteError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ExecuteError::Invalid(_) => None,
+            ExecuteError::Output { source, .. } => Some(source),
+        }
     }
 }
 
@@ -170,7 +188,10 @@ impl From<std::io::Error> for ExecuteError {
 ///
 /// [`ExecuteError::Invalid`] when `config` fails
 /// [`RunConfig::validate`], when a baseline is asked to shard or to
-/// run chains; [`ExecuteError::Io`] when an artifact cannot be written.
+/// run chains; [`ExecuteError::Output`] when an artifact cannot be
+/// written. The flight-recorder dump is created (truncated) before the
+/// run starts, so an unwritable path fails here rather than mid-run,
+/// and a re-run replaces the previous run's dumps.
 pub fn execute(
     system: System,
     deployment: Deployment<'_>,
@@ -231,7 +252,7 @@ pub fn execute(
         match &config.decisions_out {
             Some(path) => {
                 let (report, records) = runner.run_with_decisions(workload, shards);
-                write_decision_trace(path, &meta, &records)?;
+                write_decision_trace(path, &meta, &records).map_err(ExecuteError::output(path))?;
                 report
             }
             None => runner.run(workload, shards),
@@ -252,6 +273,7 @@ pub fn execute(
             });
         }
         if let Some(path) = &config.flight_out {
+            std::fs::File::create(path).map_err(ExecuteError::output(path))?;
             sink = Box::new(FlightRecorder::new(sink, path.clone()));
         }
         let kit = Kit {
@@ -292,12 +314,12 @@ pub fn execute(
         if let (Some(buf), Some(path)) = (&tap, &config.decisions_out) {
             let mut records = buf.drain();
             sort_decisions(&mut records);
-            write_decision_trace(path, &meta, &records)?;
+            write_decision_trace(path, &meta, &records).map_err(ExecuteError::output(path))?;
         }
         report
     };
     if let (Some(handle), Some(path)) = (&metrics, &config.metrics_out) {
-        export_metrics(&report, handle, path)?;
+        export_metrics(&report, handle, path).map_err(ExecuteError::output(path))?;
     }
     Ok(report)
 }

@@ -201,6 +201,8 @@ pub struct Engine {
     /// run touches only the few keys its configurations can form.
     /// [`Self::batch_exec`] multiplies an entry by a fresh noise draw.
     base_exec_s: HashMap<(usize, u32, ResourceConfig), f64>,
+    /// Per-function room generations; see [`Self::room_generation`].
+    room_gen: Vec<u64>,
     /// Autoregressive decode-batching discipline (LLM functions only;
     /// one-shot functions never consult it).
     llm_batching: LlmBatching,
@@ -448,6 +450,7 @@ impl Engine {
                 &format!("engine/{platform_name}"),
             )),
             base_exec_s: HashMap::new(),
+            room_gen: vec![0; n],
             llm_batching: LlmBatching::Static,
             llm_episodes: HashMap::new(),
             token_table: HashMap::new(),
@@ -778,6 +781,17 @@ impl Engine {
     /// Panics if the instance does not exist (retired or never created).
     pub fn instance(&self, id: InstanceId) -> &Instance {
         &self.slot(id).inst
+    }
+
+    /// Function `function`'s room generation. [`Self::enqueue`] refuses
+    /// exactly when the instance's pending batch is full, and a refusal
+    /// changes nothing, so an instance of `function` that refused at
+    /// generation `g` still refuses while the generation reads `g`: its
+    /// queue can only have grown and its batchsize is unchanged. The
+    /// counter moves at every batch start, continuous-batching join,
+    /// kill and completed resize of one of the function's instances.
+    pub fn room_generation(&self, function: usize) -> u64 {
+        self.room_gen[function]
     }
 
     /// `true` if the instance is still live.
@@ -1320,6 +1334,7 @@ impl Engine {
         slot.inst.apply_resize(pr.new_config, pr.new_placement);
         slot.meta.wait_budget = pr.new_wait_budget;
         let function = slot.inst.function().raw();
+        self.room_gen[function] += 1;
         let (w_old, c_old, g_old) = self.weights(old_config);
         let (w_new, c_new, g_new) = self.weights(pr.new_config);
         self.collector.usage_delta(
@@ -1572,6 +1587,7 @@ impl Engine {
         let mut inst = slot.inst;
         let function = inst.function().raw();
         self.live_by_function[function].retain(|x| *x != id);
+        self.room_gen[function] += 1;
         let was_starting = inst.is_starting(self.now);
         let config = inst.config();
         let placement = inst.placement();
@@ -1921,6 +1937,7 @@ impl Engine {
         }
         let until = now + exec;
         let batch = self.slot_mut(id).inst.begin_batch(now, until);
+        self.room_gen[function] += 1;
         if self.telemetry.enabled() {
             let blen = batch.len() as u32;
             let inst_raw = id.raw() as i64;
@@ -2064,6 +2081,7 @@ impl Engine {
         let until = now + prefill;
         let n = infos.len();
         let batch = self.slot_mut(id).inst.begin_batch_of(n, now, until);
+        self.room_gen[function] += 1;
         debug_assert_eq!(batch.len(), n);
         let bpt = llm.kv_bytes_per_token();
         let telemetry_on = self.telemetry.enabled();
@@ -2265,6 +2283,7 @@ impl Engine {
                     break;
                 }
                 let joined = self.slot_mut(id).inst.drain_queued(1, now);
+                self.room_gen[function] += 1;
                 debug_assert_eq!(joined.len(), 1);
                 ep.reserved_tokens += need;
                 ep.pending_prefill_tokens += u64::from(info.prompt);
@@ -3406,5 +3425,114 @@ mod tests {
         assert!(report.kv_allocated_bytes > 0);
         assert_eq!(report.kv_resident_bytes, 0);
         assert_eq!(report.kv_allocated_bytes, report.kv_freed_bytes);
+    }
+
+    /// Launches one warm instance of function 0 with an unbounded
+    /// wait budget, so batches start only when full.
+    fn ready_instance(
+        engine: &mut Engine,
+        queue: &mut EventQueue<EngineEvent>,
+        config: InstanceConfig,
+    ) -> InstanceId {
+        let id = engine
+            .launch_anywhere(0, config, StartupKind::PreWarmed, SimDuration::MAX, queue)
+            .unwrap();
+        drain(engine, queue);
+        id
+    }
+
+    #[test]
+    fn room_generation_moves_on_batch_start_not_on_enqueue() {
+        let (mut engine, mut queue) = engine();
+        let id = ready_instance(&mut engine, &mut queue, cfg());
+        let g0 = engine.room_generation(0);
+        for _ in 0..3 {
+            let req = engine.mint_request(0);
+            assert!(engine.enqueue(id, req, &mut queue));
+        }
+        assert_eq!(engine.room_generation(0), g0, "accepted enqueues");
+        // The fourth request fills the batch, which starts at once.
+        let req = engine.mint_request(0);
+        assert!(engine.enqueue(id, req, &mut queue));
+        let g1 = engine.room_generation(0);
+        assert!(g1 > g0, "a batch start frees the queue");
+        // While that batch runs, a second batch queues up to full...
+        for _ in 0..4 {
+            let req = engine.mint_request(0);
+            assert!(engine.enqueue(id, req, &mut queue));
+        }
+        // ...and the next request is refused without moving anything.
+        let req = engine.mint_request(0);
+        assert!(!engine.enqueue(id, req, &mut queue));
+        assert!(engine.instance(id).batch_full());
+        assert_eq!(engine.room_generation(0), g1, "enqueues, refused or not");
+        drain(&mut engine, &mut queue);
+        assert!(engine.room_generation(0) > g1, "the queued batch started");
+    }
+
+    #[test]
+    fn room_generation_moves_on_kill() {
+        let (mut engine, mut queue) = engine();
+        let id = ready_instance(&mut engine, &mut queue, cfg());
+        let req = engine.mint_request(0);
+        assert!(engine.enqueue(id, req, &mut queue));
+        let g0 = engine.room_generation(0);
+        let outcome = engine.on_fault(FaultEvent::InstanceKill { selector: 0 });
+        assert_eq!(outcome.killed, vec![(0, id)]);
+        assert!(engine.room_generation(0) > g0);
+    }
+
+    #[test]
+    fn room_generation_moves_on_completed_resize() {
+        let (mut engine, mut queue) = engine();
+        let id = ready_instance(&mut engine, &mut queue, cfg());
+        let old = engine.instance(id).config();
+        let new_res = ResourceConfig::new(2, 20);
+        let placement = engine.instance(id).placement();
+        let new_placement = engine
+            .cluster_mut()
+            .try_resize(placement, old.resources(), new_res, 0.0)
+            .unwrap();
+        engine.begin_resize(
+            id,
+            InstanceConfig::new(8, new_res),
+            new_placement,
+            SimDuration::MAX,
+            &mut queue,
+        );
+        let g0 = engine.room_generation(0);
+        // The queue is empty, so the completion is the only event left.
+        drain(&mut engine, &mut queue);
+        assert_eq!(engine.instance(id).config().batch(), 8);
+        assert_eq!(engine.room_generation(0), g0 + 1);
+    }
+
+    #[test]
+    fn room_generation_moves_on_continuous_batching_join() {
+        let (mut engine, mut queue) = llm_engine(LlmClass::chat(), LlmBatching::Continuous);
+        let id = engine
+            .launch_anywhere(
+                0,
+                gpu_cfg(),
+                StartupKind::PreWarmed,
+                SimDuration::MAX,
+                &mut queue,
+            )
+            .unwrap();
+        drain(&mut engine, &mut queue);
+        let g0 = engine.room_generation(0);
+        let r1 = engine.mint_request(0);
+        assert!(engine.enqueue(id, r1, &mut queue));
+        let g1 = engine.room_generation(0);
+        assert_eq!(g1, g0 + 1, "the first request starts an episode");
+        let r2 = engine.mint_request(0);
+        assert!(engine.enqueue(id, r2, &mut queue));
+        assert_eq!(engine.room_generation(0), g1, "queued behind the episode");
+        // The second request joins the running episode at a decode
+        // boundary; no other batch ever starts.
+        drain(&mut engine, &mut queue);
+        assert_eq!(engine.instance(id).executed_batches(), 1);
+        assert_eq!(engine.room_generation(0), g1 + 1, "the join");
+        assert_eq!(engine.finish().total_completed(), 2);
     }
 }

@@ -326,6 +326,11 @@ struct FnState {
     /// The largest suppressed gap — the conservative stand-in value
     /// the folded samples are recorded at.
     suppressed_idle_max: SimDuration,
+    /// `(engine room generation, router generation)` at the last
+    /// dispatch every instance refused. While both still read the same,
+    /// every positive-rate entry is still full, so the next dispatch is
+    /// refused without walking the router.
+    saturated_at: Option<(u64, u64)>,
 }
 
 /// The INFless platform. Create with [`InflessPlatform::new`], then
@@ -449,6 +454,7 @@ impl InflessPlatform {
                 resize_retunes: HashMap::new(),
                 suppressed_idle_gaps: 0,
                 suppressed_idle_max: SimDuration::ZERO,
+                saturated_at: None,
             })
             .collect();
         InflessPlatform {
@@ -672,13 +678,32 @@ impl InflessPlatform {
     /// Routes to the dispatch-set instance whose target rate is least
     /// satisfied (deficit routing, via the indexed [`DeficitRouter`]);
     /// returns `false` if every instance's pending batch is full.
+    ///
+    /// A refusal is remembered by its `(room, router)` generation pair:
+    /// until one of them moves, no entry can have gained room, so the
+    /// repeat refusal costs O(1) instead of a pop and reinsert per
+    /// entry. Skipping the walk changes no routing decision, because a
+    /// refused walk leaves every credit as it found it.
     fn dispatch(&mut self, f: usize, req: Request, queue: &mut EventQueue<EngineEvent>) -> bool {
         self.dispatch_tick = self.dispatch_tick.wrapping_add(1);
         let t0 = self.dispatch_tick.is_multiple_of(64).then(Instant::now);
         let engine = &mut self.engine;
-        let hit = self.fns[f]
-            .dispatch
-            .dispatch(|id| engine.enqueue(id, req, queue));
+        let st = &mut self.fns[f];
+        let key = (engine.room_generation(f), st.dispatch.generation());
+        let hit = if st.saturated_at == Some(key) {
+            debug_assert!(
+                st.dispatch
+                    .iter()
+                    .filter(|e| e.rate > 0.0)
+                    .all(|e| engine.instance(e.id).batch_full()),
+                "saturation memo hit while function {f} has an instance with room"
+            );
+            None
+        } else {
+            let hit = st.dispatch.dispatch(|id| engine.enqueue(id, req, queue));
+            st.saturated_at = hit.is_none().then_some(key);
+            hit
+        };
         if let Some(t0) = t0 {
             engine
                 .collector

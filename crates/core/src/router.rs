@@ -19,6 +19,12 @@
 //!   reference implementation request for request (pinned by a
 //!   property test below).
 //!
+//! * **Generation-stamped.** [`DeficitRouter::generation`] moves on
+//!   every change that could turn a refused dispatch into an accepted
+//!   one (membership, rates, credits), so a caller can remember "every
+//!   entry refused at generation `g`" and skip the heap entirely while
+//!   nothing has moved.
+//!
 //! Credit staleness fix: credits are *relative* — an entry added to a
 //! set whose veterans carry large `sent` counters would have credit 0
 //! and absorb nearly all traffic until it "caught up". The router
@@ -74,6 +80,8 @@ pub struct DeficitRouter {
     /// When set, the heap is rebuilt lazily before the next dispatch
     /// (membership or rate changes invalidate it wholesale).
     dirty: bool,
+    /// Bumped wherever `dirty` is set; see [`Self::generation`].
+    generation: u64,
 }
 
 impl DeficitRouter {
@@ -90,6 +98,14 @@ impl DeficitRouter {
     /// `true` when the dispatch set is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// A counter that moves on every push, removal, retune, credit
+    /// reset and [`Self::take_entries`] — every change to which
+    /// entries are offered, in what order. A dispatch never moves it,
+    /// and a refused one changes no entry.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The entries in insertion order.
@@ -136,7 +152,7 @@ impl DeficitRouter {
     /// Takes the whole dispatch set out (consolidation), leaving the
     /// router empty but with its buffers intact.
     pub fn take_entries(&mut self) -> Vec<RouterEntry> {
-        self.dirty = true;
+        self.invalidate();
         std::mem::take(&mut self.entries)
     }
 
@@ -144,7 +160,7 @@ impl DeficitRouter {
     /// entries in insertion order, then re-indexes.
     pub fn retune(&mut self, f: impl FnOnce(&mut [RouterEntry])) {
         f(&mut self.entries);
-        self.dirty = true;
+        self.invalidate();
     }
 
     /// Zeroes every deficit counter and re-indexes.
@@ -152,7 +168,13 @@ impl DeficitRouter {
         for e in &mut self.entries {
             e.sent = 0;
         }
+        self.invalidate();
+    }
+
+    /// Marks the heap for a rebuild and moves the generation.
+    fn invalidate(&mut self) {
         self.dirty = true;
+        self.generation += 1;
     }
 
     /// Routes one request: offers instances in ascending credit order
@@ -441,6 +463,35 @@ mod tests {
         // Fair three-way split from the moment it joined — not ~300
         // requests in a row to the newcomer (the stale-credit bug).
         assert_eq!(counts, [100, 100, 100]);
+    }
+
+    /// `true` if `op` moved the router's generation.
+    fn moves_generation(r: &mut DeficitRouter, op: impl FnOnce(&mut DeficitRouter)) -> bool {
+        let before = r.generation();
+        op(r);
+        r.generation() != before
+    }
+
+    #[test]
+    fn generation_moves_on_every_change_but_dispatch() {
+        let mut r = DeficitRouter::new();
+        assert!(moves_generation(&mut r, |r| r.push(entry(0, 10.0))));
+        r.push(entry(1, 10.0));
+        r.push(entry(2, 10.0));
+        assert!(!moves_generation(&mut r, |r| {
+            assert!(r.dispatch(|_| true).is_some());
+            assert!(r.dispatch(|_| false).is_none());
+            r.retain(|_| true);
+        }));
+        assert!(moves_generation(&mut r, |r| r.retain(|e| e.id.raw() != 2)));
+        assert!(moves_generation(&mut r, |r| {
+            r.remove_by_id(InstanceId::new(1));
+        }));
+        assert!(moves_generation(&mut r, |r| r.retune(|es| es[0].rate = 5.0)));
+        assert!(moves_generation(&mut r, DeficitRouter::reset_credits));
+        assert!(moves_generation(&mut r, |r| {
+            r.take_entries();
+        }));
     }
 
     #[test]

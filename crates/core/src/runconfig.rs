@@ -56,10 +56,10 @@ pub struct RunConfig {
     /// Where to write the Prometheus text-format metrics snapshot at
     /// the end of the run. Works at every shard count.
     pub metrics_out: Option<PathBuf>,
-    /// Where the flight recorder appends its postmortem dumps: a
+    /// Where the flight recorder writes its postmortem dumps: a
     /// bounded ring of recent spans, flushed when a fault burst hits.
-    /// Rides the span channel, so — like `telemetry` — single-core
-    /// runs only.
+    /// The file is truncated at run start. Rides the span channel, so
+    /// — like `telemetry` — single-core runs only.
     pub flight_out: Option<PathBuf>,
     /// Residual-coverage policy override. `None` defers to the
     /// scenario descriptor (whose own default is `Horizontal` —
@@ -167,9 +167,9 @@ impl RunConfig {
         self
     }
 
-    /// Appends flight-recorder dumps (a bounded span ring flushed on
-    /// fault bursts) to `path`. Single-core runs only, like
-    /// [`telemetry`](Self::telemetry).
+    /// Writes flight-recorder dumps (a bounded span ring flushed on
+    /// fault bursts) to `path`, replacing whatever it held. Single-core
+    /// runs only, like [`telemetry`](Self::telemetry).
     pub fn flight_out(mut self, path: impl Into<PathBuf>) -> Self {
         self.flight_out = Some(path.into());
         self

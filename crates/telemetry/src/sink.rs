@@ -368,6 +368,12 @@ struct TimeseriesWriter {
     wrote_header: bool,
 }
 
+/// [`File::create`] with the path named in the error message.
+fn create_named(path: &Path) -> std::io::Result<File> {
+    File::create(path)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+}
+
 #[derive(Debug)]
 struct DecisionsWriter {
     out: BufWriter<File>,
@@ -380,14 +386,15 @@ impl FileSink {
     ///
     /// # Errors
     ///
-    /// Returns the underlying error if a file cannot be created.
+    /// Returns the error of the first file that cannot be created, its
+    /// message prefixed with that file's path.
     pub fn create(
         trace_path: Option<&Path>,
         timeseries_path: Option<&Path>,
     ) -> std::io::Result<FileSink> {
         let trace = match trace_path {
             Some(p) => Some(TraceWriter {
-                out: BufWriter::new(File::create(p)?),
+                out: BufWriter::new(create_named(p)?),
                 ring: Vec::with_capacity(SPAN_RING_CAPACITY),
                 line: String::with_capacity(256),
             }),
@@ -395,7 +402,7 @@ impl FileSink {
         };
         let timeseries = match timeseries_path {
             Some(p) => Some(TimeseriesWriter {
-                out: BufWriter::new(File::create(p)?),
+                out: BufWriter::new(create_named(p)?),
                 line: String::with_capacity(256),
                 wrote_header: false,
             }),

@@ -154,7 +154,7 @@ fn main() -> ExitCode {
         match FileSink::create(trace_out.as_deref(), timeseries_out.as_deref()) {
             Ok(sink) => config = config.telemetry(Box::new(sink)),
             Err(e) => {
-                eprintln!("error: failed to open telemetry output: {e}");
+                eprintln!("error: failed to write {e}");
                 return ExitCode::FAILURE;
             }
         }

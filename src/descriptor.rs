@@ -37,7 +37,7 @@
 
 use std::fmt;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use serde::Deserialize;
 
@@ -262,8 +262,15 @@ struct ScenarioParts {
 /// Errors building or running a scenario.
 #[derive(Debug)]
 pub enum ScenarioError {
-    /// File could not be read.
+    /// The scenario (or a trace it loads) could not be read.
     Io(std::io::Error),
+    /// An output artifact could not be written.
+    Output {
+        /// The artifact's path.
+        path: PathBuf,
+        /// Why the write failed.
+        source: std::io::Error,
+    },
     /// JSON was malformed.
     Json(serde_json::Error),
     /// The scenario was semantically invalid.
@@ -274,6 +281,9 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScenarioError::Io(e) => write!(f, "failed to read scenario: {e}"),
+            ScenarioError::Output { path, source } => {
+                write!(f, "failed to write {}: {source}", path.display())
+            }
             ScenarioError::Json(e) => write!(f, "failed to parse scenario: {e}"),
             ScenarioError::Invalid(m) => write!(f, "invalid scenario: {m}"),
         }
@@ -283,7 +293,7 @@ impl fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ScenarioError::Io(e) => Some(e),
+            ScenarioError::Io(e) | ScenarioError::Output { source: e, .. } => Some(e),
             ScenarioError::Json(e) => Some(e),
             ScenarioError::Invalid(_) => None,
         }
@@ -300,7 +310,7 @@ impl From<ExecuteError> for ScenarioError {
     fn from(e: ExecuteError) -> Self {
         match e {
             ExecuteError::Invalid(m) => ScenarioError::Invalid(m),
-            ExecuteError::Io(e) => ScenarioError::Io(e),
+            ExecuteError::Output { path, source } => ScenarioError::Output { path, source },
         }
     }
 }

@@ -147,6 +147,32 @@ fn flight_recorder_dumps_on_fault_burst() {
     std::fs::remove_file(&fp).ok();
 }
 
+/// A re-run to the same `flight_out` path replaces the previous run's
+/// dumps instead of appending after them.
+#[test]
+fn flight_out_is_truncated_at_run_start() {
+    let json = shipped_scenario_json().replace(
+        "\"instance_kills_per_hour\": 90.0",
+        "\"instance_kills_per_hour\": 20000.0",
+    );
+    let fp = temp_path("rerun.jsonl");
+    std::fs::write(&fp, "stale\n").unwrap();
+    let run = || {
+        Scenario::from_json(&json)
+            .unwrap()
+            .execute(RunConfig::new().flight_out(&fp))
+            .unwrap();
+        std::fs::read_to_string(&fp).expect("dump file exists")
+    };
+    let first = run();
+    assert!(
+        first.starts_with("{\"burst\":"),
+        "stale bytes kept: {first:.40}"
+    );
+    assert_eq!(run(), first, "the second run stacked its dumps");
+    std::fs::remove_file(&fp).ok();
+}
+
 /// The flight recorder is span-channel observability and therefore
 /// rejected on sharded runs, like a telemetry sink.
 #[test]

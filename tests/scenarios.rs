@@ -25,28 +25,56 @@ fn shipped_scenarios_parse_and_validate() {
 /// canonical reports pinned before the engine memoised ground-truth
 /// batch latency, byte for byte. The sweep covers faults, stragglers
 /// and retries; the mix covers LLM episodes next to one-shot batches.
+///
+/// The two-shard pins were taken before refused dispatches were
+/// memoised per function. The sweep covers deferred retries at the
+/// barrier, the mix continuous-batching joins, and the ramp in-place
+/// resizes: each a way a full instance regains room. Tests that compare
+/// shard counts against each other cannot catch a memo bug both sides
+/// share; a pin from before the memo can.
 #[test]
 fn shipped_scenarios_match_their_pins() {
     let pins = [
         (
             "failure_sweep",
+            None,
             include_str!("fixtures/failure_sweep_pin.canonical.json"),
         ),
         (
             "llm_chat_mix",
+            None,
             include_str!("fixtures/llm_chat_mix_pin.canonical.json"),
+        ),
+        (
+            "failure_sweep",
+            Some(2),
+            include_str!("fixtures/failure_sweep_s2_pin.canonical.json"),
+        ),
+        (
+            "llm_chat_mix",
+            Some(2),
+            include_str!("fixtures/llm_chat_mix_s2_pin.canonical.json"),
+        ),
+        (
+            "resize_ramp",
+            Some(2),
+            include_str!("fixtures/resize_ramp_s2_pin.canonical.json"),
         ),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
-    for (name, pinned) in pins {
+    for (name, shards, pinned) in pins {
+        let config = match shards {
+            Some(n) => RunConfig::new().shards(n),
+            None => RunConfig::new(),
+        };
         let report = Scenario::from_file(dir.join(format!("{name}.json")))
             .expect("shipped scenario parses")
-            .execute(RunConfig::new())
+            .execute(config)
             .expect("runs");
         assert_eq!(
             report.canonical_json(),
             pinned.trim_end_matches('\n'),
-            "{name} no longer matches its pinned report byte for byte"
+            "{name} at shards {shards:?} no longer matches its pinned report byte for byte"
         );
     }
 }
